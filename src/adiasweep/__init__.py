@@ -11,6 +11,7 @@ from .evolution import (
     EvolutionFailure,
     EvolutionResult,
     evolve,
+    evolve_dop54,
     evolve_fixed_step,
     evolve_many,
     ground_state,

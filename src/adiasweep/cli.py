@@ -128,6 +128,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         emit_csv(records, out_path)
     failed = [r for r in records if not r.ok]
     print(f"wrote {len(records)} records to {out_path} ({len(failed)} failed points)")
+    if failed:
+        print(f"numerical failure: T={failed[0].t:g}: {failed[0].error}", file=sys.stderr)
     return 2 if failed else 0
 
 

@@ -16,6 +16,7 @@ three-level-case2  diag(1,2,3), couplings (E1, E2, E3) = (1, 0, 1) by default,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,8 +126,10 @@ class ModelSpec:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODEL_NAMES}")
         for name in ("k", "k1", "k2", "k3"):
             v = getattr(self, name)
-            if v is not None and v < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+            if v is not None and not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if self.energies is not None and not all(math.isfinite(e) for e in self.energies):
+            raise ValueError(f"energies must be finite, got {self.energies}")
         if self.order < 1:
             raise ValueError(f"smoothing order must be >= 1, got {self.order}")
 

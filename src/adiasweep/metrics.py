@@ -80,8 +80,8 @@ class TypicalErrorConfig:
     reduction: str = "rms"
 
     def __post_init__(self):
-        if self.tau0 <= 0.0:
-            raise ValueError(f"tau0 must be > 0, got {self.tau0}")
+        if not (math.isfinite(self.tau0) and self.tau0 > 0.0):
+            raise ValueError(f"tau0 must be finite and > 0, got {self.tau0}")
         if self.samples < 16:
             raise ValueError(f"need at least 16 window samples, got {self.samples}")
         if self.reduction not in REDUCTIONS:

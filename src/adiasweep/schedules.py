@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_ENDPOINT_ORDER = 6
 
 _FD_BASE_STEP = 1e-2
@@ -289,56 +291,61 @@ class Product(Schedule):
         return min(f.variation_scale() for f in self.factors)
 
 
-def fast_value(sched: Schedule):
-    """Specialized scalar evaluator for the propagation hot path.
+# math.exp and float ** int applied elementwise: numpy's own exp and power
+# can differ from them in the last ulp, and the array evaluator must
+# reproduce value() exactly.
+_scalar_exp = np.frompyfunc(math.exp, 1, 1)
+_scalar_pow = np.frompyfunc(pow, 2, 1)
 
-    Returns a plain closure computing sched.value with identical arithmetic
-    (same operation order, bit-identical results) but without domain
-    validation; callers must keep s inside [0, 1].
+
+def fast_value(sched: Schedule):
+    """Vectorized evaluator for the propagation hot path.
+
+    Returns a closure mapping a numpy array of s to an array of the same
+    shape holding sched.value elementwise, bit for bit (same operation order,
+    the same libm exp), without domain validation; callers must keep s
+    inside [0, 1].
     """
     if isinstance(sched, Parabola):
         return lambda s: s * (1.0 - s)
     if isinstance(sched, Constant):
         c = sched.c
-        return lambda s: c
+        return lambda s: np.full(np.shape(s), c)
     if isinstance(sched, PowerRamp):
         if sched.k == 0.0:
-            return lambda s: 1.0
+            return lambda s: np.ones(np.shape(s))
         k, n, scale = sched.k, sched.n, sched.scale
         if sched.reflected:
             if n == 1:
                 return lambda s: (scale * (1.0 - s)) / ((1.0 - s) + k)
-            return lambda s: ((scale * (1.0 - s)) / ((1.0 - s) + k)) ** n
+            return lambda s: np.asarray(_scalar_pow((scale * (1.0 - s)) / ((1.0 - s) + k), n), dtype=float)
         if n == 1:
             return lambda s: (scale * s) / (s + k)
-        return lambda s: ((scale * s) / (s + k)) ** n
+        return lambda s: np.asarray(_scalar_pow((scale * s) / (s + k), n), dtype=float)
     if isinstance(sched, ExponentialPulse):
         k = sched.k
 
-        def exp_value(s: float) -> float:
+        def exp_value(s: np.ndarray) -> np.ndarray:
             u = s * (1.0 - s)
-            if u <= 0.0 or k / u > 745.0:
-                return 0.0
-            return u * math.exp(-k / u)
+            positive = u > 0.0
+            with np.errstate(over="ignore"):  # subnormal u: k/u is inf, value 0
+                ratio = k / np.where(positive, u, 1.0)
+            live = positive & (ratio <= 745.0)
+            damp = np.asarray(_scalar_exp(-np.where(live, ratio, 0.0)), dtype=float)
+            return np.where(live, u * damp, 0.0)
 
         return exp_value
     if isinstance(sched, Product):
         fns = tuple(fast_value(f) for f in sched.factors)
-        if len(fns) == 3:
-            f0, f1, f2 = fns
-            return lambda s: f0(s) * f1(s) * f2(s)
-        if len(fns) == 4:
-            f0, f1, f2, f3 = fns
-            return lambda s: f0(s) * f1(s) * f2(s) * f3(s)
 
-        def product_value(s: float) -> float:
-            out = 1.0
-            for f in fns:
+        def product_value(s: np.ndarray) -> np.ndarray:
+            out = fns[0](s)
+            for f in fns[1:]:
                 out = out * f(s)
             return out
 
         return product_value
-    return sched.value
+    return np.vectorize(sched.value, otypes=[float])
 
 
 PREFACTOR_MODES = ("midpoint-normalized", "as-printed")

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -39,6 +40,11 @@ from .metrics import (
 )
 
 SCHEMA_VERSION = 1
+
+# Part of every cache key.  Bump it with any change to evolution, schedules
+# or metrics that can move the records, so no record computed by older
+# numerics is served.  2: the CF4 exponential propagator replaced DOP5(4).
+NUMERICS_VERSION = 2
 
 CSV_HEADER = "T,eps,eps_bar_T,eps_bar_1,eps_bar_2,ratio1,ratio2,epsT2,slope,norm_drift"
 
@@ -73,6 +79,10 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("t_min", "t_max", "rtol", "atol", "s_start", "s_end"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.t_min <= 0.0 or self.t_max < self.t_min:
             raise ValueError(f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         if self.points_per_decade < 1:
@@ -254,7 +264,11 @@ def _canonical_config(cfg: SweepConfig) -> dict:
 
 def cache_key(cfg: SweepConfig) -> str:
     """Stable hash of the canonicalized numeric config."""
-    payload = {"schema_version": SCHEMA_VERSION, "config": _canonical_config(cfg)}
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "numerics_version": NUMERICS_VERSION,
+        "config": _canonical_config(cfg),
+    }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -291,15 +305,31 @@ def _record_from_dict(d: dict) -> SweepRecord:
     )
 
 
-def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> list[SweepRecord]:
-    """Return cached records when the config hash matches, else compute and store."""
-    key = cache_key(cfg)
-    path = os.path.join(cache_dir, f"{key}.json")
-    if use_cache and os.path.exists(path):
+def _load_cached(path: str) -> list[SweepRecord] | None:
+    """Records of a cache file, or None when it is missing, stale, corrupt or truncated."""
+    try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        if data.get("schema_version") == SCHEMA_VERSION:
-            return [_record_from_dict(d) for d in data["records"]]
+        if data.get("schema_version") != SCHEMA_VERSION:
+            return None
+        return [_record_from_dict(d) for d in data["records"]]
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
+def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> list[SweepRecord]:
+    """Return cached records when the config hash matches, else compute and store.
+
+    A cache file that cannot be read back as records counts as a miss and is
+    rewritten.  Each writer goes through its own temporary file, so
+    concurrent writers of one key never interleave.
+    """
+    key = cache_key(cfg)
+    path = os.path.join(cache_dir, f"{key}.json")
+    if use_cache:
+        cached = _load_cached(path)
+        if cached is not None:
+            return cached
     records = run_sweep(cfg)
     if use_cache:
         os.makedirs(cache_dir, exist_ok=True)
@@ -309,10 +339,14 @@ def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> lis
             "config": _canonical_config(cfg),
             "records": [_record_to_dict(r) for r in records],
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=cache_dir)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return records
 
 

@@ -108,6 +108,31 @@ def test_sweep_exit_code_on_numerical_failure(tmp_path, capsys):
         f"max_steps = 20\nout = {tmp_path/'x.csv'}\nno_cache = true\n"
     )
     assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: T=15: step limit exceeded")
+    assert "s_reached=" in err
+    assert "steps_taken=20" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k", "nan"],
+        ["--tmax", "inf"],
+        ["--tmin", "nan"],
+        ["--rtol", "nan"],
+        ["--tau0", "inf"],
+        ["--E0", "1", "--E1", "nan"],
+    ],
+)
+def test_sweep_rejects_non_finite_input(flags, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("rejected input must not reach the sweep")
+
+    monkeypatch.setattr("adiasweep.cli.load_or_run", no_run)
+    argv = ["sweep", "--model", "two-level", "--tmin", "15", "--tmax", "20"] + flags
+    assert main(argv) == 1
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_estimate_output(capsys):

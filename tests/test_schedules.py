@@ -219,3 +219,37 @@ def test_fast_value_bitwise_identical():
         fn = fast_value(sched)
         for s in grid:
             assert fn(s) == sched.value(s)
+
+
+def _exponential_underflow_edges(k):
+    """s values around the point where k/(s(1-s)) crosses the 745 cutoff, both ends."""
+    u_edge = k / 745.0
+    s_edge = (1.0 - math.sqrt(1.0 - 4.0 * u_edge)) / 2.0
+    below = [s_edge]
+    for _ in range(3):
+        below.append(np.nextafter(below[-1], 0.0))
+    around = below + [np.nextafter(s_edge, 1.0), np.nextafter(np.nextafter(s_edge, 1.0), 1.0)]
+    return around + [1.0 - s for s in around] + [5e-324, 1e-300, 1.0 - 1e-16]
+
+
+def test_fast_value_arrays_equal_scalar_value():
+    families = ALL_FAMILIES + (
+        Constant(0.3),
+        PowerRamp(0.0),
+        PowerRamp(1e-3, 3),
+        PowerRamp(1e-3, 2, reflected=True, scale=1.002),
+        ExponentialPulse(0.5),
+        rational_pulse(1e-2, order=3),
+    )
+    grid = np.concatenate((np.linspace(0.0, 1.0, 2001), [1e-6, 1.0 - 1e-6]))
+    for sched in families:
+        s = grid
+        if isinstance(sched, ExponentialPulse):
+            s = np.concatenate((grid, _exponential_underflow_edges(sched.k)))
+        expected = np.array([sched.value(float(x)) for x in s])
+        got = fast_value(sched)(s)
+        assert got.shape == s.shape
+        assert np.array_equal(got, expected), sched
+        # stacked inputs keep their shape
+        assert np.array_equal(fast_value(sched)(s.reshape(-1, 1)), expected.reshape(-1, 1))
+

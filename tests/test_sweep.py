@@ -7,6 +7,7 @@ import pytest
 
 from adiasweep.hamiltonians import ModelSpec
 from adiasweep.metrics import TypicalErrorConfig
+from adiasweep import sweep
 from adiasweep.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -52,6 +53,10 @@ def test_config_validation():
         small_config(t_min=50.0, t_max=20.0)
     with pytest.raises(ValueError, match="workers"):
         small_config(workers=0)
+    for field in ("t_min", "t_max", "rtol", "atol", "s_start", "s_end"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                small_config(**{field: bad})
 
 
 def test_cache_key_stability():
@@ -62,6 +67,13 @@ def test_cache_key_stability():
     assert cache_key(small_config(rtol=2e-9)) != cache_key(a)
     # worker count cannot change records, so it is not part of the key
     assert cache_key(small_config(workers=4)) == cache_key(a)
+
+
+def test_cache_key_changes_with_numerics_version(monkeypatch):
+    cfg = small_config()
+    before = cache_key(cfg)
+    monkeypatch.setattr(sweep, "NUMERICS_VERSION", sweep.NUMERICS_VERSION + 1)
+    assert cache_key(cfg) != before
 
 
 def test_run_sweep_deterministic_and_parallel_equivalent():
@@ -121,6 +133,37 @@ def test_cache_schema_version_mismatch_recomputes(tmp_path):
     path.write_text(json.dumps(doc))
     records = load_or_run(cfg, cache_dir, use_cache=True)
     assert records  # stale cache was ignored and recomputed
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],  # truncated write
+        lambda text: "not json at all",
+        lambda text: "",
+        lambda text: json.dumps({"schema_version": 1, "records": [{"t": 1.0}]}),
+        lambda text: json.dumps([1, 2, 3]),
+    ],
+)
+def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, damage):
+    cfg = small_config()
+    cache_dir = str(tmp_path / "cache")
+    path = tmp_path / "cache" / f"{cache_key(cfg)}.json"
+    first = load_or_run(cfg, cache_dir, use_cache=True)
+    path.write_text(damage(path.read_text()))
+    assert load_or_run(cfg, cache_dir, use_cache=True) == first
+    assert json.loads(path.read_text())["key"] == cache_key(cfg)
+
+
+def test_cache_writer_uses_its_own_temporary_file(tmp_path):
+    cfg = small_config()
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    # a leftover from a writer that died mid-write must not get in the way
+    (cache_dir / f"{cache_key(cfg)}.json.tmp").write_text("{")
+    load_or_run(cfg, str(cache_dir), use_cache=True)
+    names = sorted(p.name for p in cache_dir.iterdir())
+    assert names == [f"{cache_key(cfg)}.json", f"{cache_key(cfg)}.json.tmp"]
 
 
 def synthetic_record(**overrides):

@@ -173,7 +173,7 @@ def _cmd_schedule_dump(args: argparse.Namespace) -> int:
     lines = ["s,value,deriv1"]
     for i in range(args.points):
         s = i / (args.points - 1)
-        lines.append(f"{s!r},{sched.value(s)!r},{sched.deriv1(s)!r}")
+        lines.append(f"{s!r},{sched.value(s)!r},{sched.taylor(s, 1)[1]!r}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {args.points} samples to {args.out}")

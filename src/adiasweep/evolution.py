@@ -41,7 +41,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianPath
 from .linalg import hermitian_eigensystem
-from .schedules import fast_value
+from .schedules import Schedule
 
 NORM_DRIFT_LIMIT = 1e-6
 
@@ -152,6 +152,11 @@ def _check_normalized(psi0: np.ndarray, dim: int) -> np.ndarray:
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("initial state is not normalized")
     return psi
+
+
+def fast_value(sched: Schedule):
+    """The evaluator the CF4 propagator calls on arrays of s (a tracing hook)."""
+    return sched.value
 
 
 def _hamiltonian_stack(path: HamiltonianPath, shift: float):

@@ -77,15 +77,6 @@ class HamiltonianPath:
             m[c.j, c.i] = v
         return m
 
-    def evaluate_deriv(self, s: float) -> np.ndarray:
-        """dH/ds; the constant diagonal drops out."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for c in self.couplings:
-            v = c.amplitude * c.schedule.deriv1(s)
-            m[c.i, c.j] = v
-            m[c.j, c.i] = v
-        return m
-
     def endpoint_deriv(self, endpoint: int, order: int) -> np.ndarray:
         """d^order H/ds^order at s=endpoint; order 0 recovers H itself."""
         if order == 0:

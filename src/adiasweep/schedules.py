@@ -1,4 +1,4 @@
-"""Scalar pulse schedules on scaled time s in [0, 1], with analytic derivatives.
+"""Scalar pulse schedules on scaled time s in [0, 1], with exact Taylor jets.
 
 Four families cover every builtin model:
 
@@ -16,10 +16,14 @@ value at s=1/2 equals the parabola's exactly; the alternative
 ``prefactor="as-printed"`` uses the bare 1/(1+2k)**(2*order) factor instead,
 which lowers the midpoint by O(k).
 
-Endpoint derivatives of order 3..6 are obtained from one-sided finite
-differences of the analytic second derivative, Richardson-extrapolated over
-the step ladder h, h/2, h/4 with h = 1e-2 * variation_scale (schedules built
-from ramps vary on scale k, so the ladder shrinks with k, floored at 1e-3).
+Every schedule has two evaluators.  ``value(s)`` takes a float or a numpy
+array of s and returns the same kind.  ``taylor(s, order)`` returns the
+truncated Taylor jet [f(s), f'(s), f''(s)/2!, ..., f^(order)(s)/order!] as
+a list of floats, exact up to rounding at any order: a ramp is
+scale*(1 - k/(u+k)), whose series is geometric; the exponential pulse
+applies the exp recurrence to the jet of -k/u; a product is the truncated
+Cauchy product of its factors' jets.  Endpoint derivatives of any order are
+read off the jets.
 """
 
 from __future__ import annotations
@@ -29,107 +33,84 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_ENDPOINT_ORDER = 6
-
-_FD_BASE_STEP = 1e-2
-_FD_LEVELS = 3
-_FD_SCALE_FLOOR = 1e-3
-
-_BINOM = {1: (1, -1), 2: (1, -2, 1), 3: (1, -3, 3, -1), 4: (1, -4, 6, -4, 1)}
+# math.exp and float ** int applied elementwise: numpy's own exp and power
+# can differ from them in the last ulp, and value() on an array must equal
+# value() on each of its elements bit for bit.
+_scalar_exp = np.frompyfunc(math.exp, 1, 1)
+_scalar_pow = np.frompyfunc(pow, 2, 1)
 
 
-def _check_s(s: float) -> float:
+def _check_s(s):
+    """s as a float, or as the array it is; raises outside [0, 1]."""
+    if isinstance(s, np.ndarray):
+        if s.size and not (s.min() >= -1e-12 and s.max() <= 1.0 + 1e-12):
+            bad = s[~((s >= -1e-12) & (s <= 1.0 + 1e-12))].flat[0]
+            raise ValueError(f"scaled time s={bad!r} outside [0, 1]")
+        return s
     if not -1e-12 <= s <= 1.0 + 1e-12:
         raise ValueError(f"scaled time s={s!r} outside [0, 1]")
     return float(s)
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
+
+
+def _cauchy(a: list[float], b: list[float]) -> list[float]:
+    """Product of two jets of equal length, truncated to that length."""
+    return [sum([a[i] * b[j - i] for i in range(j + 1)]) for j in range(len(a))]
+
+
+def _zeros(order: int) -> list[float]:
+    return [0.0] * (order + 1)
+
+
 class Schedule:
     """Base class: immutable scalar function of s in [0, 1]."""
 
-    def value(self, s: float) -> float:
+    def value(self, s):
+        """f(s) for a float or elementwise for a numpy array of s."""
         raise NotImplementedError
 
-    def deriv1(self, s: float) -> float:
+    def taylor(self, s: float, order: int) -> list[float]:
+        """[f(s), f'(s), f''(s)/2!, ..., f^(order)(s)/order!]."""
         raise NotImplementedError
-
-    def deriv2(self, s: float) -> float:
-        raise NotImplementedError
-
-    def variation_scale(self) -> float:
-        """Smallest feature size in s; sets the endpoint FD step ladder."""
-        return 1.0
 
     def endpoint_deriv(self, endpoint: int, order: int) -> float:
-        """d^order/ds^order at s=endpoint (0 or 1).
-
-        Orders 0..2 are analytic; 3..6 use Richardson-extrapolated one-sided
-        differences of deriv2.  Orders above 6 are unsupported.
-        """
+        """d^order/ds^order at s=endpoint (0 or 1)."""
         if endpoint not in (0, 1):
             raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
-        if not 0 <= order <= MAX_ENDPOINT_ORDER:
-            raise ValueError(f"unsupported endpoint derivative order {order}")
-        s0 = float(endpoint)
-        if order == 0:
-            return self.value(s0)
-        if order == 1:
-            return self.deriv1(s0)
-        if order == 2:
-            return self.deriv2(s0)
-        return self._fd_endpoint_deriv(s0, order)
-
-    def _fd_endpoint_deriv(self, s0: float, order: int) -> float:
-        p = order - 2
-        coeffs = _BINOM[p]
-        inward = 1.0 if s0 == 0.0 else -1.0
-        scale = max(min(self.variation_scale(), 1.0), _FD_SCALE_FLOOR)
-
-        def one_sided(h: float) -> float:
-            # p-th one-sided difference of deriv2, stepping into the domain
-            acc = 0.0
-            for i, w in enumerate(coeffs):
-                acc += w * self.deriv2(s0 + inward * (p - i) * h)
-            return acc / (inward * h) ** p
-
-        h0 = _FD_BASE_STEP * scale
-        d = [one_sided(h0 / 2.0**level) for level in range(_FD_LEVELS)]
-        r1 = [2.0 * d[1] - d[0], 2.0 * d[2] - d[1]]
-        return (4.0 * r1[1] - r1[0]) / 3.0
+        _check_order(order)
+        return math.factorial(order) * self.taylor(float(endpoint), order)[order]
 
 
 @dataclass(frozen=True)
 class Constant(Schedule):
     c: float = 1.0
 
-    def value(self, s: float) -> float:
-        _check_s(s)
-        return self.c
+    def value(self, s):
+        s = _check_s(s)
+        return self.c if isinstance(s, float) else np.full(s.shape, self.c)
 
-    def deriv1(self, s: float) -> float:
+    def taylor(self, s: float, order: int) -> list[float]:
         _check_s(s)
-        return 0.0
-
-    def deriv2(self, s: float) -> float:
-        _check_s(s)
-        return 0.0
+        _check_order(order)
+        return [self.c] + [0.0] * order
 
 
 @dataclass(frozen=True)
 class Parabola(Schedule):
     """The envelope s*(1-s): unit slope at s=0, slope -1 at s=1."""
 
-    def value(self, s: float) -> float:
+    def value(self, s):
         s = _check_s(s)
         return s * (1.0 - s)
 
-    def deriv1(self, s: float) -> float:
+    def taylor(self, s: float, order: int) -> list[float]:
         s = _check_s(s)
-        return 1.0 - 2.0 * s
-
-    def deriv2(self, s: float) -> float:
-        _check_s(s)
-        return -2.0
+        _check_order(order)
+        return ([s * (1.0 - s), 1.0 - 2.0 * s, -1.0] + [0.0] * order)[: order + 1]
 
 
 @dataclass(frozen=True)
@@ -152,45 +133,37 @@ class PowerRamp(Schedule):
         if self.k == 0.0 and self.scale != 1.0:
             raise ValueError("k=0 ramp must have scale 1")
 
-    def _u(self, s: float) -> float:
-        return 1.0 - s if self.reflected else s
-
-    def value(self, s: float) -> float:
+    def value(self, s):
         s = _check_s(s)
+        scalar = isinstance(s, float)
         if self.k == 0.0:
-            return 1.0
-        u = self._u(s)
+            return 1.0 if scalar else np.ones(s.shape)
+        u = 1.0 - s if self.reflected else s
         g = (self.scale * u) / (u + self.k)
-        return g**self.n
+        if scalar:
+            return g**self.n
+        if self.n == 1:
+            return g
+        return np.asarray(_scalar_pow(g, self.n), dtype=float)
 
-    def deriv1(self, s: float) -> float:
+    def taylor(self, s: float, order: int) -> list[float]:
         s = _check_s(s)
+        _check_order(order)
         if self.k == 0.0:
-            return 0.0
-        u = self._u(s)
-        sign = -1.0 if self.reflected else 1.0
-        g = (self.scale * u) / (u + self.k)
-        gp = self.scale * self.k / (u + self.k) ** 2
-        gn1 = g ** (self.n - 1) if self.n > 1 else 1.0
-        return sign * self.n * gn1 * gp
-
-    def deriv2(self, s: float) -> float:
-        s = _check_s(s)
-        if self.k == 0.0:
-            return 0.0
-        u = self._u(s)
-        g = (self.scale * u) / (u + self.k)
-        gp = self.scale * self.k / (u + self.k) ** 2
-        gpp = -2.0 * self.scale * self.k / (u + self.k) ** 3
-        gn1 = g ** (self.n - 1) if self.n > 1 else 1.0
-        out = self.n * gn1 * gpp
-        if self.n > 1:
-            gn2 = g ** (self.n - 2) if self.n > 2 else 1.0
-            out += self.n * (self.n - 1) * gn2 * gp * gp
+            return [1.0] + [0.0] * order
+        u = 1.0 - s if self.reflected else s
+        a = u + self.k
+        # scale*(1 - k/(a + sign*x)) = scale*(1 - (k/a) * sum_j (-sign*x/a)^j)
+        ratio = (1.0 if self.reflected else -1.0) / a
+        g = [(self.scale * u) / a]
+        term = -self.scale * self.k / a
+        for _ in range(order):
+            term *= ratio
+            g.append(term)
+        out = g
+        for _ in range(self.n - 1):
+            out = _cauchy(out, g)
         return out
-
-    def variation_scale(self) -> float:
-        return self.k if self.k > 0.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -203,44 +176,46 @@ class ExponentialPulse(Schedule):
         if self.k <= 0.0:
             raise ValueError(f"exponential pulse needs k > 0, got {self.k}")
 
-    def _core(self, s: float) -> tuple[float, float, float]:
-        """(u, u', exp(-k/u)) with harmless 0 when the exponent underflows."""
+    def value(self, s):
+        s = _check_s(s)
         u = s * (1.0 - s)
-        up = 1.0 - 2.0 * s
-        if u <= 0.0 or self.k / u > 745.0:
-            return u, up, 0.0
-        return u, up, math.exp(-self.k / u)
+        if isinstance(s, float):
+            if u <= 0.0 or self.k / u > 745.0:  # exp(-k/u) underflows
+                return u * 0.0
+            return u * math.exp(-self.k / u)
+        positive = u > 0.0
+        with np.errstate(over="ignore"):  # subnormal u: k/u is inf, value 0
+            ratio = self.k / np.where(positive, u, 1.0)
+        live = positive & (ratio <= 745.0)
+        damp = np.asarray(_scalar_exp(-np.where(live, ratio, 0.0)), dtype=float)
+        return np.where(live, u * damp, 0.0)
 
-    def value(self, s: float) -> float:
+    def taylor(self, s: float, order: int) -> list[float]:
         s = _check_s(s)
-        u, _, damp = self._core(s)
-        return u * damp
-
-    def deriv1(self, s: float) -> float:
-        s = _check_s(s)
-        u, up, damp = self._core(s)
-        if damp == 0.0:
-            return 0.0
-        return up * damp * (1.0 + self.k / u)
-
-    def deriv2(self, s: float) -> float:
-        s = _check_s(s)
-        u, up, damp = self._core(s)
-        if damp == 0.0:
-            return 0.0
-        return damp * (-2.0 * (1.0 + self.k / u) + self.k**2 * up * up / u**3)
+        _check_order(order)
+        u = ([s * (1.0 - s), 1.0 - 2.0 * s, -1.0] + [0.0] * order)[: order + 1]
+        if u[0] <= 0.0 or self.k / u[0] > 745.0:
+            return _zeros(order)
+        # w = -k/u from u*v = 1, then exp(w) from E' = w'E
+        v = [1.0 / u[0]]
+        for j in range(1, order + 1):
+            v.append(-sum([u[i] * v[j - i] for i in range(1, j + 1)]) / u[0])
+        w = [-self.k * x for x in v]
+        damp = [math.exp(-self.k / u[0])]
+        for j in range(1, order + 1):
+            damp.append(sum([i * w[i] * damp[j - i] for i in range(1, j + 1)]) / j)
+        return _cauchy(u, damp)
 
     def endpoint_deriv(self, endpoint: int, order: int) -> float:
         if endpoint not in (0, 1):
             raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
-        if not 0 <= order <= MAX_ENDPOINT_ORDER:
-            raise ValueError(f"unsupported endpoint derivative order {order}")
+        _check_order(order)
         return 0.0
 
 
 @dataclass(frozen=True)
 class Product(Schedule):
-    """Pointwise product of schedules; derivatives via the Leibniz rule."""
+    """Pointwise product of schedules; jets multiply as Cauchy products."""
 
     factors: tuple[Schedule, ...]
 
@@ -248,104 +223,17 @@ class Product(Schedule):
         if not self.factors:
             raise ValueError("product needs at least one factor")
 
-    def value(self, s: float) -> float:
-        out = 1.0
-        for f in self.factors:
+    def value(self, s):
+        out = self.factors[0].value(s)
+        for f in self.factors[1:]:
             out = out * f.value(s)
         return out
 
-    def deriv1(self, s: float) -> float:
-        vals = [f.value(s) for f in self.factors]
-        d1 = [f.deriv1(s) for f in self.factors]
-        out = 0.0
-        for i in range(len(self.factors)):
-            term = d1[i]
-            for j, v in enumerate(vals):
-                if j != i:
-                    term *= v
-            out += term
+    def taylor(self, s: float, order: int) -> list[float]:
+        out = self.factors[0].taylor(s, order)
+        for f in self.factors[1:]:
+            out = _cauchy(out, f.taylor(s, order))
         return out
-
-    def deriv2(self, s: float) -> float:
-        vals = [f.value(s) for f in self.factors]
-        d1 = [f.deriv1(s) for f in self.factors]
-        d2 = [f.deriv2(s) for f in self.factors]
-        nf = len(self.factors)
-        out = 0.0
-        for i in range(nf):
-            term = d2[i]
-            for j in range(nf):
-                if j != i:
-                    term *= vals[j]
-            out += term
-        for i in range(nf):
-            for j in range(i + 1, nf):
-                term = 2.0 * d1[i] * d1[j]
-                for l in range(nf):
-                    if l != i and l != j:
-                        term *= vals[l]
-                out += term
-        return out
-
-    def variation_scale(self) -> float:
-        return min(f.variation_scale() for f in self.factors)
-
-
-# math.exp and float ** int applied elementwise: numpy's own exp and power
-# can differ from them in the last ulp, and the array evaluator must
-# reproduce value() exactly.
-_scalar_exp = np.frompyfunc(math.exp, 1, 1)
-_scalar_pow = np.frompyfunc(pow, 2, 1)
-
-
-def fast_value(sched: Schedule):
-    """Vectorized evaluator for the propagation hot path.
-
-    Returns a closure mapping a numpy array of s to an array of the same
-    shape holding sched.value elementwise, bit for bit (same operation order,
-    the same libm exp), without domain validation; callers must keep s
-    inside [0, 1].
-    """
-    if isinstance(sched, Parabola):
-        return lambda s: s * (1.0 - s)
-    if isinstance(sched, Constant):
-        c = sched.c
-        return lambda s: np.full(np.shape(s), c)
-    if isinstance(sched, PowerRamp):
-        if sched.k == 0.0:
-            return lambda s: np.ones(np.shape(s))
-        k, n, scale = sched.k, sched.n, sched.scale
-        if sched.reflected:
-            if n == 1:
-                return lambda s: (scale * (1.0 - s)) / ((1.0 - s) + k)
-            return lambda s: np.asarray(_scalar_pow((scale * (1.0 - s)) / ((1.0 - s) + k), n), dtype=float)
-        if n == 1:
-            return lambda s: (scale * s) / (s + k)
-        return lambda s: np.asarray(_scalar_pow((scale * s) / (s + k), n), dtype=float)
-    if isinstance(sched, ExponentialPulse):
-        k = sched.k
-
-        def exp_value(s: np.ndarray) -> np.ndarray:
-            u = s * (1.0 - s)
-            positive = u > 0.0
-            with np.errstate(over="ignore"):  # subnormal u: k/u is inf, value 0
-                ratio = k / np.where(positive, u, 1.0)
-            live = positive & (ratio <= 745.0)
-            damp = np.asarray(_scalar_exp(-np.where(live, ratio, 0.0)), dtype=float)
-            return np.where(live, u * damp, 0.0)
-
-        return exp_value
-    if isinstance(sched, Product):
-        fns = tuple(fast_value(f) for f in sched.factors)
-
-        def product_value(s: np.ndarray) -> np.ndarray:
-            out = fns[0](s)
-            for f in fns[1:]:
-                out = out * f(s)
-            return out
-
-        return product_value
-    return np.vectorize(sched.value, otypes=[float])
 
 
 PREFACTOR_MODES = ("midpoint-normalized", "as-printed")

@@ -44,7 +44,8 @@ SCHEMA_VERSION = 1
 # Part of every cache key.  Bump it with any change to evolution, schedules
 # or metrics that can move the records, so no record computed by older
 # numerics is served.  2: the CF4 exponential propagator replaced DOP5(4).
-NUMERICS_VERSION = 2
+# 3: exact Taylor jets replaced the finite-difference endpoint derivatives.
+NUMERICS_VERSION = 3
 
 CSV_HEADER = "T,eps,eps_bar_T,eps_bar_1,eps_bar_2,ratio1,ratio2,epsT2,slope,norm_drift"
 

@@ -196,8 +196,8 @@ def test_cell_count_grows_slower_than_t():
 
 
 class _NanAfterMidpoint(Schedule):
-    def value(self, s: float) -> float:
-        return math.nan if s > 0.5 else s * (1.0 - s)
+    def value(self, s):
+        return np.where(s > 0.5, math.nan, s * (1.0 - s))
 
 
 def test_non_finite_error_estimate_fails_fast():

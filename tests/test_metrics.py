@@ -127,6 +127,13 @@ def test_switching_estimate_order2_smoothed():
     assert est.curve(10.0) == pytest.approx(expected / 100.0, rel=1e-12)
 
 
+def test_switching_estimate_order3_vanishes_for_order3_smoothing():
+    path = build(ModelSpec("two-level", k=1e-3, order=3))
+    est = switching_estimate(path, 3)
+    assert est.coefficient == 0.0
+    assert switching_estimate(path, 4).coefficient > 0.0
+
+
 def test_switching_estimate_per_level_terms():
     est = switching_estimate(build(ModelSpec("three-level-case1", k=0.0)), 1)
     assert len(est.level_terms) == 4

@@ -21,17 +21,14 @@ from .hamiltonians import (
     HamiltonianPath,
     ModelSpec,
     MODEL_NAMES,
-    apply_endpoint_smoothing,
     build,
 )
 from .linalg import (
     Eigensystem,
     NonHermitianError,
-    apply,
     hermitian_eigensystem,
     hermiticity_defect,
     jacobi_eigensystem,
-    norm,
     overlap,
 )
 from .metrics import (
@@ -42,13 +39,11 @@ from .metrics import (
     TypicalErrorConfig,
     crossover_time,
     decade_slope,
-    local_scaling_exponent,
     measure_errors,
     reference_scaling_estimate,
     sqrt2_bound_check,
     switching_estimate,
     true_error,
-    typical_error,
     window_samples,
 )
 from .schedules import (

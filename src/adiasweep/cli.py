@@ -17,6 +17,7 @@ import sys
 
 from . import acceptance
 from .config import (
+    KNOWN_KEYS,
     ConfigError,
     merge_settings,
     model_spec_from_settings,
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="print the switching-estimate table")
     est.add_argument("--config", help="flat key=value config file")
     _add_model_flags(est)
-    est.add_argument("--orders", default="1,2", help="comma-separated estimate orders")
+    est.add_argument("--orders", help="comma-separated estimate orders (default 1,2)")
 
     dump = sub.add_parser("schedule-dump", help="write (s, value, deriv1) samples")
     dump.add_argument(
@@ -104,13 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    keys = (
-        "model", "k", "k1", "k2", "k3", "n", "E0", "E1", "E2", "E3", "prefactor",
-        "t_min", "t_max", "points_per_decade", "tau0", "samples", "reduction",
-        "rtol", "atol", "s_start", "s_end", "workers", "out", "format",
-        "cache_dir", "no_cache",
-    )
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    return {k: getattr(args, k) for k in KNOWN_KEYS if hasattr(args, k)}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -137,7 +132,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
     settings = merge_settings(file_values, _collect_overrides(args))
     spec = model_spec_from_settings(settings)
-    orders = tuple(int(p) for p in str(args.orders).split(",") if p.strip())
+    orders = settings.get("orders", (1, 2))
     path = build(spec)
     print(f"model={spec.model} k={spec.k:g} order={spec.order} energies={spec.energy_values()}")
     print(f"{'n':>3} {'b_n(start)':>14} {'b_n(end)':>14} {'b_n':>14}")

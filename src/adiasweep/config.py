@@ -82,7 +82,10 @@ def _convert(key: str, value: str):
 
 
 def merge_settings(file_values: dict[str, str], overrides: dict[str, object]) -> dict[str, object]:
-    """Typed settings dict; ``overrides`` (CLI flags) win over file values."""
+    """Typed settings dict; ``overrides`` (CLI flags) win over file values.
+
+    String overrides are converted like file values; typed ones are kept.
+    """
     settings: dict[str, object] = {}
     for key, value in file_values.items():
         settings[key] = _convert(key, value)
@@ -90,7 +93,7 @@ def merge_settings(file_values: dict[str, str], overrides: dict[str, object]) ->
         if value is not None:
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"unknown setting {key!r}")
-            settings[key] = value
+            settings[key] = _convert(key, value) if isinstance(value, str) else value
     return settings
 
 

@@ -22,14 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schedules import (
-    ExponentialPulse,
-    Parabola,
-    PowerRamp,
-    Product,
-    Schedule,
-    rational_pulse,
-)
+from .schedules import ExponentialPulse, Parabola, Schedule, rational_pulse
 
 MODEL_NAMES = ("two-level", "two-level-exp", "three-level-case1", "three-level-case2")
 
@@ -185,29 +178,3 @@ def build(spec: ModelSpec) -> HamiltonianPath:
             continue
         couplings.append(Coupling(i, j, amp, rational_pulse(k, spec.order, spec.prefactor)))
     return HamiltonianPath(3, (1.0, 2.0, 3.0), tuple(couplings))
-
-
-def apply_endpoint_smoothing(path: HamiltonianPath, k: float, n: int) -> HamiltonianPath:
-    """Multiply every coupling schedule by ramp(s)^n * ramp(1-s)^n.
-
-    The transformed path's first n endpoint derivatives vanish provided the
-    original couplings already vanish at the endpoints (true for all builtin
-    models; the constant diagonal is left untouched).  n = 0 or k = 0 return
-    the path unchanged.
-    """
-    if k < 0.0:
-        raise ValueError(f"smoothing parameter k must be >= 0, got {k}")
-    if n < 0:
-        raise ValueError(f"smoothing power must be >= 0, got {n}")
-    if n == 0 or k == 0.0:
-        return path
-    couplings = tuple(
-        Coupling(
-            c.i,
-            c.j,
-            c.amplitude,
-            Product((PowerRamp(k, n), c.schedule, PowerRamp(k, n, reflected=True))),
-        )
-        for c in path.couplings
-    )
-    return HamiltonianPath(path.dim, path.diagonal, couplings)

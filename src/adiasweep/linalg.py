@@ -1,4 +1,4 @@
-"""Small dense complex linear algebra: Hermitian eigensystems, products, overlaps.
+"""Small dense complex linear algebra: Hermitian eigensystems and overlaps.
 
 Everything here is sized for matrices of dimension 2 to 8.  The eigensolver
 is a cyclic Jacobi iteration (2x2 inputs short-circuit to the closed form),
@@ -53,15 +53,6 @@ def _require_hermitian(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def apply(matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Matrix-vector product M @ psi with a dimension check."""
-    m = np.asarray(matrix)
-    v = np.asarray(state)
-    if m.ndim != 2 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {m.shape} vs vector {v.shape}")
-    return m @ v
-
-
 def overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
     """Inner product <bra|ket>, conjugate-linear in the first argument."""
     a = np.asarray(bra)
@@ -69,10 +60,6 @@ def overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
-
-
-def norm(state: np.ndarray) -> float:
-    return float(np.linalg.norm(state))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -55,10 +54,13 @@ class DegenerateGapError(ValueError):
 def true_error(psi_final: np.ndarray, g_final: np.ndarray) -> float:
     """Norm of the component of psi_final orthogonal to g_final, in [0, 1].
 
-    The overlap is divided by the actual state norms, so the residual norm
+    Both states are divided by their actual norms, so the residual norm
     drift of a propagated state (order 1e-10) cannot masquerade as error:
     an uncompensated drift d would otherwise put a floor of sqrt(2d), around
     1e-5, under every measurement.  Inputs still must be normalized to 1e-6.
+    The orthogonal component is formed directly rather than as
+    sqrt(1 - |<g|psi>|^2), which cancels and loses all precision below
+    eps ~ 1e-8.
     """
     norms = []
     for name, v in (("psi_final", psi_final), ("g_final", g_final)):
@@ -66,9 +68,10 @@ def true_error(psi_final: np.ndarray, g_final: np.ndarray) -> float:
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"{name} is not normalized")
         norms.append(n)
+    psi_norm, g_norm = norms
     ov = overlap(g_final, psi_final)
-    projected = abs(ov) ** 2 / (norms[0] ** 2 * norms[1] ** 2)
-    return math.sqrt(max(0.0, 1.0 - projected))
+    residual = psi_final / psi_norm - g_final * (ov / (g_norm**2 * psi_norm))
+    return float(np.linalg.norm(residual))
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,6 @@ def reduce_window(errors: np.ndarray, reduction: str) -> float:
     if reduction == "rms":
         return float(np.sqrt(np.mean(errs**2)))
     raise ValueError(f"reduction must be one of {REDUCTIONS}")
-
-
-def typical_error(eps_of_t: Callable[[float], float], t: float, cfg: TypicalErrorConfig) -> float:
-    """Windowed average of eps_of_t around t; one evaluation per sample."""
-    errs = np.array([eps_of_t(ti) for ti in window_samples(t, cfg)])
-    return reduce_window(errs, cfg.reduction)
 
 
 @dataclass(frozen=True)
@@ -283,19 +280,6 @@ def loglog_slope(ts: np.ndarray, values: np.ndarray) -> float:
     if np.any(values <= 0.0) or np.any(ts <= 0.0):
         raise ValueError("log-log slope needs positive data")
     return float(np.polyfit(np.log(ts), np.log(values), 1)[0])
-
-
-def local_scaling_exponent(ts: np.ndarray, values: np.ndarray, t: float) -> float:
-    """Slope of log(values) vs log(ts) over the 5 points centered nearest t."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ts.shape[0] < 5:
-        raise ValueError("need at least 5 points bracketing t")
-    center = int(np.argmin(np.abs(np.log(ts) - math.log(t))))
-    if center < 2 or center > ts.shape[0] - 3:
-        raise ValueError(f"t={t} is too close to the grid edge for a centered window")
-    window = slice(center - 2, center + 3)
-    return loglog_slope(ts[window], values[window])
 
 
 def decade_slope(ts: np.ndarray, values: np.ndarray, t_lo: float, t_hi: float) -> float:

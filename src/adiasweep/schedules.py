@@ -62,10 +62,6 @@ def _cauchy(a: list[float], b: list[float]) -> list[float]:
     return [sum([a[i] * b[j - i] for i in range(j + 1)]) for j in range(len(a))]
 
 
-def _zeros(order: int) -> list[float]:
-    return [0.0] * (order + 1)
-
-
 class Schedule:
     """Base class: immutable scalar function of s in [0, 1]."""
 
@@ -191,11 +187,9 @@ class ExponentialPulse(Schedule):
         return np.where(live, u * damp, 0.0)
 
     def taylor(self, s: float, order: int) -> list[float]:
-        s = _check_s(s)
-        _check_order(order)
-        u = ([s * (1.0 - s), 1.0 - 2.0 * s, -1.0] + [0.0] * order)[: order + 1]
+        u = Parabola().taylor(s, order)
         if u[0] <= 0.0 or self.k / u[0] > 745.0:
-            return _zeros(order)
+            return [0.0] * (order + 1)
         # w = -k/u from u*v = 1, then exp(w) from E' = w'E
         v = [1.0 / u[0]]
         for j in range(1, order + 1):

@@ -24,7 +24,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -134,6 +134,12 @@ class SweepRecord:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+# JSON records carry every field; CSV rows carry all but the error note, in
+# CSV_HEADER's column order.
+_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
+_CSV_FIELDS = tuple(name for name in _RECORD_FIELDS if name != "error")
 
 
 def t_grid(cfg: SweepConfig) -> list[float]:
@@ -275,35 +281,11 @@ def cache_key(cfg: SweepConfig) -> str:
 
 
 def _record_to_dict(r: SweepRecord) -> dict:
-    return {
-        "t": r.t,
-        "eps": r.eps,
-        "eps_bar_t": r.eps_bar_t,
-        "eps_bar_1": r.eps_bar_1,
-        "eps_bar_2": r.eps_bar_2,
-        "ratio1": r.ratio1,
-        "ratio2": r.ratio2,
-        "eps_t2": r.eps_t2,
-        "slope": r.slope,
-        "norm_drift": r.norm_drift,
-        "error": r.error,
-    }
+    return {name: getattr(r, name) for name in _RECORD_FIELDS}
 
 
 def _record_from_dict(d: dict) -> SweepRecord:
-    return SweepRecord(
-        t=d["t"],
-        eps=d["eps"],
-        eps_bar_t=d["eps_bar_t"],
-        eps_bar_1=d["eps_bar_1"],
-        eps_bar_2=d["eps_bar_2"],
-        ratio1=d["ratio1"],
-        ratio2=d["ratio2"],
-        eps_t2=d["eps_t2"],
-        slope=d["slope"],
-        norm_drift=d["norm_drift"],
-        error=d.get("error"),
-    )
+    return SweepRecord(**{name: d[name] for name in _CSV_FIELDS}, error=d.get("error"))
 
 
 def _load_cached(path: str) -> list[SweepRecord] | None:
@@ -364,22 +346,7 @@ def _fmt(x: float | None) -> str:
 def emit_csv(records: list[SweepRecord], path: str) -> None:
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.t),
-                    _fmt(r.eps),
-                    _fmt(r.eps_bar_t),
-                    _fmt(r.eps_bar_1),
-                    _fmt(r.eps_bar_2),
-                    _fmt(r.ratio1),
-                    _fmt(r.ratio2),
-                    _fmt(r.eps_t2),
-                    _fmt(r.slope),
-                    _fmt(r.norm_drift),
-                )
-            )
-        )
+        lines.append(",".join([_fmt(getattr(r, name)) for name in _CSV_FIELDS]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -143,6 +143,26 @@ def test_estimate_output(capsys):
     assert "approximate order-2 reference" in out
 
 
+def _estimate_orders(out):
+    return [int(line.split()[0]) for line in out.splitlines() if line.split()[0].isdigit()]
+
+
+def test_estimate_orders_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "est.cfg"
+    cfg.write_text("model = two-level\nk = 1e-3\nn = 3\norders = 3\n")
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert _estimate_orders(out) == [3]
+    assert "  3   0.000000e+00   0.000000e+00   0.000000e+00" in out
+    # the flag still wins over the file, and the default stays 1,2
+    assert main(["estimate", "--config", str(cfg), "--orders", "2,4"]) == 0
+    assert _estimate_orders(capsys.readouterr().out) == [2, 4]
+    assert main(["estimate", "--model", "two-level"]) == 0
+    assert _estimate_orders(capsys.readouterr().out) == [1, 2]
+    assert main(["estimate", "--model", "two-level", "--orders", "1,x"]) == 1
+    assert "invalid value for orders" in capsys.readouterr().err
+
+
 def test_estimate_rejects_unknown_model(capsys):
     with pytest.raises(SystemExit):  # argparse choices
         main(["estimate", "--model", "six-level"])

@@ -5,14 +5,19 @@ from adiasweep.hamiltonians import (
     Coupling,
     HamiltonianPath,
     ModelSpec,
-    apply_endpoint_smoothing,
     build,
 )
-from adiasweep.schedules import Parabola
+from adiasweep.schedules import Parabola, PowerRamp, Product
 
 
 def central_deriv(path, s, h=1e-6):
     return (path.evaluate(s + h) - path.evaluate(s - h)) / (2.0 * h)
+
+
+def ramped_two_level(k, n=1):
+    """The k=0 two-level path with its coupling multiplied by ramp(s)^n ramp(1-s)^n."""
+    sched = Product((PowerRamp(k, n), Parabola(), PowerRamp(k, n, reflected=True)))
+    return HamiltonianPath(2, (0.0, 1.0), (Coupling(0, 1, 1.0, sched),))
 
 
 def jet_deriv(path, s):
@@ -106,9 +111,12 @@ def test_hermitian_everywhere():
 
 
 def test_smoothing_transform_identity_cases():
+    # a k=0 ramp is exactly 1, so the transform leaves the path bitwise unchanged
     path = build(ModelSpec("two-level", k=0.0))
-    assert apply_endpoint_smoothing(path, 1e-2, 0) is path
-    assert apply_endpoint_smoothing(path, 0.0, 3) is path
+    for n in (1, 3):
+        transformed = ramped_two_level(0.0, n)
+        for s in np.linspace(0.0, 1.0, 41):
+            assert np.array_equal(transformed.evaluate(s), path.evaluate(s))
 
 
 def test_smoothing_transform_small_k_limit():
@@ -116,16 +124,15 @@ def test_smoothing_transform_small_k_limit():
     for s in (0.2, 0.5, 0.8):
         base_val = path.evaluate(s)[0, 1]
         for k in (1e-3, 1e-5, 1e-7):
-            val = apply_endpoint_smoothing(path, k, 1).evaluate(s)[0, 1]
+            val = ramped_two_level(k).evaluate(s)[0, 1]
             assert abs(val - base_val) < 20.0 * k
-    transformed = apply_endpoint_smoothing(path, 1e-7, 1)
+    transformed = ramped_two_level(1e-7)
     assert abs(transformed.evaluate(0.5)[0, 1] - 0.25) < 1e-6
 
 
 def test_smoothing_transform_endpoint_derivatives():
     k = 1e-2
-    path = build(ModelSpec("two-level", k=0.0))
-    transformed = apply_endpoint_smoothing(path, k, 1)
+    transformed = ramped_two_level(k)
     assert np.max(np.abs(transformed.endpoint_deriv(0, 1))) == 0.0
     expected = 2.0 / (k * (1.0 + k))
     assert transformed.endpoint_deriv(0, 2)[0, 1] == pytest.approx(expected, rel=1e-12)

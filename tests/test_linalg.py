@@ -5,7 +5,6 @@ import pytest
 
 from adiasweep.linalg import (
     NonHermitianError,
-    apply,
     hermitian_eigensystem,
     hermiticity_defect,
     jacobi_eigensystem,
@@ -104,17 +103,6 @@ def test_non_hermitian_rejected_with_worst_pair():
     dev, pair = hermiticity_defect(h)
     assert pair in ((0, 1), (1, 0))
     assert dev == pytest.approx(0.5)
-
-
-def test_apply_examples():
-    psi = np.array([0.3 + 0.4j, 0.5, -0.2j])
-    assert np.array_equal(apply(np.eye(3), psi), psi)
-    out = apply(np.diag([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert np.array_equal(out, np.array([0.0, 0.0]))
-    out = apply(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
-    assert np.array_equal(out, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="mismatch"):
-        apply(np.eye(2), psi)
 
 
 def test_overlap_examples():

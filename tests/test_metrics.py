@@ -4,22 +4,26 @@ import numpy as np
 import pytest
 
 from adiasweep.evolution import EvolutionConfig
-from adiasweep.hamiltonians import HamiltonianPath, ModelSpec, apply_endpoint_smoothing, build
+from adiasweep.hamiltonians import Coupling, HamiltonianPath, ModelSpec, build
 from adiasweep.metrics import (
     DegenerateGapError,
     TypicalErrorConfig,
     crossover_time,
     decade_slope,
-    local_scaling_exponent,
     measure_errors,
+    reduce_window,
     reference_scaling_estimate,
     sqrt2_bound_check,
     switching_estimate,
     true_error,
-    typical_error,
     window_samples,
 )
-from adiasweep.schedules import Parabola
+from adiasweep.schedules import Parabola, PowerRamp, Product
+
+
+def typical_error(eps_of_t, t, cfg):
+    """Window average of eps_of_t around t, one evaluation per window sample."""
+    return reduce_window(np.array([eps_of_t(ti) for ti in window_samples(t, cfg)]), cfg.reduction)
 
 
 def test_true_error_trivial_cases():
@@ -42,6 +46,20 @@ def test_true_error_insensitive_to_tiny_norm_drift():
     drifted = psi * (1.0 - 3e-10)
     assert true_error(drifted, g) == true_error(psi, g)
     assert true_error(drifted, g) == pytest.approx(eps, rel=1e-4)
+
+
+def test_true_error_full_precision_at_small_error(rng):
+    # psi = cos(theta) g + i sin(theta) e has true error sin(theta) exactly
+    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    g_rand = a / np.linalg.norm(a)
+    e_rand = b - g_rand * np.vdot(g_rand, b)
+    e_rand /= np.linalg.norm(e_rand)
+    basis = np.eye(3, dtype=complex)
+    for g, e in ((basis[0], basis[2]), (g_rand, e_rand)):
+        for theta in (1e-9, 3e-7, 1e-5, 0.3):
+            psi = math.cos(theta) * g + 1j * math.sin(theta) * e
+            assert abs(true_error(psi, g) - math.sin(theta)) <= 1e-14
 
 
 def test_typical_error_constant():
@@ -156,8 +174,6 @@ def test_switching_estimate_shift_invariance():
 
 
 def test_switching_estimate_degenerate_gap():
-    from adiasweep.hamiltonians import Coupling
-
     path = HamiltonianPath(2, (1.0, 1.0), (Coupling(0, 1, 1.0, Parabola()),))
     with pytest.raises(DegenerateGapError):
         switching_estimate(path, 1)
@@ -187,7 +203,8 @@ def test_reference_shortcut_vs_exact_ramp_transform():
     k = 1e-3
     base = build(ModelSpec("two-level", k=0.0))
     ref = reference_scaling_estimate(base, k, 1)
-    exact = switching_estimate(apply_endpoint_smoothing(base, k, 1), 2)
+    ramped = Product((PowerRamp(k, 1), Parabola(), PowerRamp(k, 1, reflected=True)))
+    exact = switching_estimate(HamiltonianPath(2, (0.0, 1.0), (Coupling(0, 1, 1.0, ramped),)), 2)
     ratio = exact.coefficient / ref.substituted_coefficient
     assert ratio == pytest.approx(2.0 / (1.0 + k), rel=1e-12)
     assert ratio == pytest.approx(ref.exact_to_substituted_ratio(), rel=1e-12)
@@ -209,16 +226,6 @@ def test_estimator_curves_cross_at_inverse_k():
         crossings[k] = b2 / base_b1
     for k, t_cross in crossings.items():
         assert 0.5 <= t_cross * k / 2.0 <= 2.0
-
-
-def test_local_scaling_exponent_synthetic():
-    ts = np.geomspace(10.0, 1e4, 25)
-    assert local_scaling_exponent(ts, 3.0 / ts, 300.0) == pytest.approx(-1.0, abs=1e-6)
-    assert local_scaling_exponent(ts, 0.2 / ts**2, 300.0) == pytest.approx(-2.0, abs=1e-6)
-    with pytest.raises(ValueError, match="5 points"):
-        local_scaling_exponent(ts[:4], (3.0 / ts)[:4], 20.0)
-    with pytest.raises(ValueError, match="edge"):
-        local_scaling_exponent(ts, 3.0 / ts, 10.0)
 
 
 def test_decade_slope():

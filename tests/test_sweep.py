@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -201,6 +202,29 @@ def test_emit_csv_row_layout(tmp_path):
     assert float(fields[9]) == 1e-11
     emit_csv([synthetic_record(slope=-1.25)], str(out))
     assert out.read_text().splitlines()[1].split(",")[8] == "-1.25"
+
+
+def test_record_fields_map_onto_csv_header():
+    # CSV column names spell the total time T; the fields spell it t
+    names = [f.name for f in dataclasses.fields(SweepRecord) if f.name != "error"]
+    header = [c.replace("T", "t").replace("epst2", "eps_t2") for c in CSV_HEADER.split(",")]
+    assert names == header
+
+
+def test_record_serializer_round_trip():
+    records = [
+        synthetic_record(),
+        synthetic_record(slope=-1.25, eps=0.1 + 0.2),
+        synthetic_record(error="step limit exceeded"),
+    ]
+    for r in records:
+        d = sweep._record_to_dict(r)
+        assert list(d) == [f.name for f in dataclasses.fields(SweepRecord)]
+        assert sweep._record_from_dict(json.loads(json.dumps(d))) == r
+    # a record without an error key loads with error None
+    legacy = sweep._record_to_dict(records[0])
+    del legacy["error"]
+    assert sweep._record_from_dict(legacy) == records[0]
 
 
 def test_emit_csv_shortest_round_trip_floats(tmp_path):

@@ -42,7 +42,7 @@ _scalar_pow = np.frompyfunc(pow, 2, 1)
 
 def _check_s(s):
     """s as a float, or as the array it is; raises outside [0, 1]."""
-    if isinstance(s, np.ndarray):
+    if type(s) is not float and isinstance(s, np.ndarray):  # floats skip the array test
         if s.size and not (s.min() >= -1e-12 and s.max() <= 1.0 + 1e-12):
             bad = s[~((s >= -1e-12) & (s <= 1.0 + 1e-12))].flat[0]
             raise ValueError(f"scaled time s={bad!r} outside [0, 1]")

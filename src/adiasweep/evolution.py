@@ -29,7 +29,20 @@ state.
 Two reference integrators are kept as independent cross-checks:
 ``evolve_dop54`` (adaptive embedded Dormand-Prince 5(4) with a PI step
 controller, whose truncation drift grows like 0.1 * t * rtol) and
-``evolve_fixed_step`` (classic RK4 at a fixed step).
+``evolve_fixed_step`` (classic RK4 at a fixed step).  DOP5(4) assembles H
+at one scalar s at a time, apart from the vectorized assembly that CF4 and
+RK4 share, so a fault in that assembly still shows in the cross-check.
+
+RK4 on the linear y' = A(s) y with A = -i*t*H is a product of per-step
+transfer matrices y -> (I + D_n) y, where with A_0, A_m, A_1 at s_n,
+s_n + h/2 and s_n + h
+
+    K1 = A_0,  K2 = A_m + (h/2) A_m K1,  K3 = A_m + (h/2) A_m K2,
+    K4 = A_1 + h A_1 K3,  D_n = (h/6) (K1 + 2 K2 + 2 K3 + K4).
+
+The D_n of a chunk of steps are formed in one batch, reduced by a pairwise
+tree in increment form, (I + B)(I + A) = I + (A + B + B A), and applied to
+the state once per chunk; no Python loop runs per step.
 """
 
 from __future__ import annotations
@@ -58,6 +71,9 @@ _RICHARDSON = 16.0 / 15.0
 # working arrays independently of t.
 _GROUP_CELLS = 128
 _CHUNK_CELLS = 32
+# Fixed RK4 steps whose transfer matrices are formed and multiplied as one
+# batch; bounds the working arrays independently of the step count.
+_RK4_CHUNK_STEPS = 1024
 # Trial cells per unit of t * (s_end - s_start).
 _TRIAL_RATE = 0.5
 # Equidistributed cells aim at tol / _MESH_SAFETY**5.
@@ -596,32 +612,61 @@ def evolve_dop54(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) 
     return _propagate_dop54(path, np.array([cfg.t_total]), psi, cfg).result(0)
 
 
+def _rk4_increment(stack, t: float, s: np.ndarray, h: float) -> np.ndarray:
+    """D with I + D the product of the RK4 steps of width h from each s, later steps on the left.
+
+    For y' = A(s) y one step is y -> (I + D_n) y.  Steps are merged pairwise
+    as (I + B)(I + A) = I + (A + B + B @ A): carrying only the increment keeps
+    the rounding of the identity out of the product.
+    """
+    a = (-1j * t) * stack(np.stack((s, s + 0.5 * h, s + h), axis=1))
+    a0, am, a1 = a[:, 0], a[:, 1], a[:, 2]
+    k2 = am + (0.5 * h) * (am @ a0)
+    k3 = am + (0.5 * h) * (am @ k2)
+    k4 = a1 + h * (a1 @ k3)
+    d = (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    while d.shape[0] > 1:
+        even = d.shape[0] & ~1
+        earlier, later = d[0:even:2], d[1:even:2]
+        d = np.concatenate((earlier + later + later @ earlier, d[even:]))
+    return d[0]
+
+
 def evolve_fixed_step(
     path: HamiltonianPath,
     cfg: EvolutionConfig,
     psi0: np.ndarray,
     step: float = 1e-5,
 ) -> EvolutionResult:
-    """Classic RK4 at a fixed step; the independent reference integrator."""
+    """Classic RK4 at a fixed step; the independent reference integrator.
+
+    The step is shrunk to divide the window evenly.  Raises ValueError unless
+    ``step`` is finite and positive, and EvolutionFailure when the window
+    needs more than ``cfg.max_steps`` steps or the final norm drift exceeds
+    the trust threshold.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
     psi = _check_normalized(psi0, path.dim)
     if cfg.t_total == 0.0:
         return EvolutionResult(psi.copy(), 0.0, 0, 0)
     span = cfg.s_end - cfg.s_start
-    n_steps = max(1, int(math.ceil(span / step)))
+    if span / step > cfg.max_steps:
+        raise EvolutionFailure(
+            f"step {step!r} needs more than max_steps={cfg.max_steps} steps over the window",
+            {"s_reached": cfg.s_start, "steps_taken": 0},
+        )
+    n_steps = max(1, math.ceil(span / step))
     h = span / n_steps
-    t = cfg.t_total
-
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        return -1j * t * (path.evaluate(s) @ y)
-
+    stack = _hamiltonian_stack(path, 0.0)
     y = psi.copy()
-    s = cfg.s_start
-    for i in range(n_steps):
-        k1 = rhs(s, y)
-        k2 = rhs(s + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(s + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = cfg.s_start + (i + 1) * h
+    for first in range(0, n_steps, _RK4_CHUNK_STEPS):
+        n = np.arange(first, min(first + _RK4_CHUNK_STEPS, n_steps))
+        y = y + _rk4_increment(stack, cfg.t_total, cfg.s_start + n * h, h) @ y
     drift = abs(float(np.linalg.norm(y)) - 1.0)
+    if not drift <= NORM_DRIFT_LIMIT:  # also a NaN state
+        raise EvolutionFailure(
+            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.1e}; integration untrusted",
+            {"norm_drift": drift, "steps_taken": n_steps},
+        )
     return EvolutionResult(y, drift, n_steps, 0)

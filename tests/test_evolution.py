@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from adiasweep import evolution
 from adiasweep.evolution import (
     EvolutionConfig,
     EvolutionFailure,
@@ -55,6 +56,94 @@ def test_adaptive_agrees_with_fixed_step_oracle():
     assert abs(true_error(dop.final_state, g_end) - eps_fixed) < 1e-8
     assert 0.0 < dop.norm_drift < 1e-9
     assert dop.steps_taken > 100
+
+
+def _rk4_loop(path, cfg, psi0, step):
+    """Reference: RK4 one step at a time, each stage a matrix-vector product."""
+    span = cfg.s_end - cfg.s_start
+    n_steps = max(1, int(math.ceil(span / step)))
+    h = span / n_steps
+    t = cfg.t_total
+
+    def rhs(s, y):
+        return -1j * t * (path.evaluate(s) @ y)
+
+    y = np.asarray(psi0, dtype=complex).copy()
+    s = cfg.s_start
+    for i in range(n_steps):
+        k1 = rhs(s, y)
+        k2 = rhs(s + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = rhs(s + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = rhs(s + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = cfg.s_start + (i + 1) * h
+    return y, n_steps
+
+
+_CHUNK = evolution._RK4_CHUNK_STEPS
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (
+        ModelSpec("two-level", k=1e-3),
+        ModelSpec("three-level-case1", k=1e-3),
+        ModelSpec("two-level-exp", k=1e-2),
+    ),
+    ids=lambda spec: spec.model,
+)
+def test_fixed_step_matches_step_by_step_rk4(spec):
+    path = build(spec)
+    lo, hi = spec.evolution_window()
+    psi0 = ground_state(path, lo)
+    for n in (1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+        # t grows with n so every step has the same t*h and the drift stays small
+        cfg = EvolutionConfig(t_total=0.01 * n, s_start=lo, s_end=hi)
+        step = (hi - lo) / (n - 0.5)
+        expected, n_loop = _rk4_loop(path, cfg, psi0, step)
+        result = evolve_fixed_step(path, cfg, psi0, step=step)
+        assert result.steps_taken == n_loop == n
+        assert np.max(np.abs(result.final_state - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("k", (0.0, 1e-2))
+def test_fixed_step_is_fourth_order(k):
+    path = build(ModelSpec("two-level", k=k))
+    psi0 = ground_state(path, 0.0)
+    cfg = EvolutionConfig(t_total=20.0, rtol=1e-14, atol=1e-16)
+    exact = evolve(path, cfg, psi0).final_state
+    errors = [
+        np.linalg.norm(evolve_fixed_step(path, cfg, psi0, step=h).final_state - exact)
+        for h in (4e-3, 2e-3, 1e-3)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 <= coarse / fine <= 18.0
+
+
+class _Unevaluable(Schedule):
+    def value(self, s):
+        raise AssertionError("schedule evaluated")
+
+
+def test_fixed_step_rejects_bad_step():
+    psi0 = ground_state(TWO_LEVEL, 0.0)
+    cfg = EvolutionConfig(t_total=50.0)
+    for step in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="step"):
+            evolve_fixed_step(TWO_LEVEL, cfg, psi0, step=step)
+    # one step over the whole window: RK4 blows up, and the drift check says so
+    with pytest.raises(EvolutionFailure, match="norm drift"):
+        evolve_fixed_step(TWO_LEVEL, cfg, psi0, step=2.0)
+
+
+def test_fixed_step_limit_fails_before_any_work():
+    path = HamiltonianPath(2, (0.0, 1.0), (Coupling(0, 1, 1.0, _Unevaluable()),))
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    cfg = EvolutionConfig(t_total=50.0, max_steps=1000)
+    for step in (1e-4, 1e-300):
+        with pytest.raises(EvolutionFailure, match="max_steps") as excinfo:
+            evolve_fixed_step(path, cfg, psi0, step=step)
+        assert excinfo.value.diagnostics["steps_taken"] == 0
 
 
 def test_norm_drift_small():
@@ -206,6 +295,13 @@ def test_non_finite_error_estimate_fails_fast():
     with pytest.raises(EvolutionFailure, match="non-finite") as excinfo:
         evolve(path, EvolutionConfig(t_total=100.0), psi0)
     assert excinfo.value.diagnostics["s_reached"] <= 0.5
+
+
+def test_fixed_step_non_finite_state_fails():
+    path = HamiltonianPath(2, (0.0, 1.0), (Coupling(0, 1, 1.0, _NanAfterMidpoint()),))
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(EvolutionFailure, match="norm drift"):
+        evolve_fixed_step(path, EvolutionConfig(t_total=10.0), psi0, step=1e-3)
 
 
 def test_tolerance_below_rounding_floor_fails_fast():

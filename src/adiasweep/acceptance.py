@@ -6,9 +6,10 @@ Sweep-shaped criteria go through the normal cached sweep runner, so a second
 invocation with the same cache directory is nearly free.
 
 Integration tolerances are chosen per criterion: ``atol + rtol`` bounds the
-local error of each propagator cell, and sweeps reaching larger total times
-run proportionally tighter, since the global error sums over a number of
-cells that grows with t.  The propagator is unitary by construction, so the
+local error of each propagated cell, which the propagator estimates by step
+doubling over pairs of cells.  Sweeps reaching larger total times run
+proportionally tighter, since the global error sums over a number of cells
+that grows with t.  The propagator is unitary by construction, so the
 norm drift that criterion 8 audits against its 1e-9 budget stays at the
 rounding level (1e-14 to 3e-13).  Criterion 8 also cross-checks the propagator
 and the Dormand-Prince 5(4) oracle against fixed-step RK4.

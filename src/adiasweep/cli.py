@@ -177,8 +177,10 @@ def _cmd_schedule_dump(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
         numbers = tuple(int(p) for p in args.only.split(",") if p.strip())
+        if not numbers:
+            raise ConfigError(f"--only {args.only!r} names no criterion")
         unknown = [n for n in numbers if n not in acceptance.CRITERIA]
         if unknown:
             raise ConfigError(f"unknown criterion numbers {unknown}")

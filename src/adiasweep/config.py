@@ -75,7 +75,10 @@ def _convert(key: str, value: str):
                 return False
             raise ValueError(f"expected a boolean, got {value!r}")
         if key == "orders":
-            return tuple(int(part) for part in value.split(",") if part.strip())
+            orders = tuple(int(part) for part in value.split(",") if part.strip())
+            if not orders:
+                raise ValueError("no orders given")
+            return orders
         return float(value)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {key}: {value!r} ({exc})") from exc

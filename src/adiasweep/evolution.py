@@ -16,10 +16,14 @@ member only adds its own phases exp(-i*t*h*lambda) and (n, d) @ (d, d)
 basis changes.
 
 The ODE is linear, so a cell's local error does not depend on the state.
-It is estimated as 16/15 times the Frobenius norm of (one-cell propagator
-minus two half-cell propagators) at the batch's largest total time, and the
-mesh is equidistributed until every cell's estimate is within
-``atol + rtol``.  ``max_steps`` caps the number of cells.  The mesh is built
+It is estimated by step doubling at the batch's largest total time: the mesh
+is built from pairs of cells, the two halves of each pair are propagated,
+and the single CF4 step over the whole pair serves only as the reference.
+For a fifth-order local error, each half's error is 1/30 of the Frobenius
+norm of (pair propagator minus the product of the two half propagators).
+The pairs are equidistributed until every half's estimate is within
+``atol + rtol``, so one batched ``eigh`` of six exponents checks two
+propagated cells.  ``max_steps`` caps the number of cells.  The mesh is built
 and consumed left to right in bounded chunks, so memory does not grow with t.
 
 The propagation runs on H(s) - c*I with c the mean diagonal energy; the
@@ -63,24 +67,27 @@ _SQRT3_6 = math.sqrt(3.0) / 6.0
 _NODES = np.array((0.5 - _SQRT3_6, 0.5 + _SQRT3_6))
 _W0 = 0.25 + _SQRT3_6
 _W1 = 0.25 - _SQRT3_6
-# Local error of one cell from the one-cell/two-half-cell difference of a
-# fourth-order method: err(h) = (U_h - U_{h/2}^2) * 2^4 / (2^4 - 1).
-_RICHARDSON = 16.0 / 15.0
+# Step doubling for a fifth-order local error C*h**5: a pair of width H
+# gives U_H - U_{H/2}^2 = (1 - 2/32) C H**5, so each half's error C (H/2)**5
+# is that difference over 30 (and the whole pair's over 15).
+_HALF_SHARE = 1.0 / 30.0
 
-# Cells per equidistribution group and per propagation chunk; both bound the
-# working arrays independently of t.
+# Pairs per equidistribution group and cells per propagation chunk; both
+# bound the working arrays independently of t.
 _GROUP_CELLS = 128
 _CHUNK_CELLS = 32
 # Fixed RK4 steps whose transfer matrices are formed and multiplied as one
 # batch; bounds the working arrays independently of the step count.
 _RK4_CHUNK_STEPS = 1024
-# Trial cells per unit of t * (s_end - s_start).
+# Trial pairs per unit of t * (s_end - s_start).
 _TRIAL_RATE = 0.5
-# Equidistributed cells aim at tol / _MESH_SAFETY**5.
+# Equidistributed pairs aim at tol / _MESH_SAFETY**5.
 _MESH_SAFETY = 1.15
 _MAX_DEPTH = 40
-# Below this an estimate that a split does not halve is rounding noise.
-_ROUNDING_NOISE = 1e-13
+# An estimate from a difference U_H - U_{H/2}^2 below 1e-13, some hundreds of
+# ulps of the unit-norm propagators, is rounding noise if a split does not
+# halve it.
+_ROUNDING_NOISE = _HALF_SHARE * 1e-13
 
 
 class EvolutionFailure(RuntimeError):
@@ -106,7 +113,11 @@ class EvolutionConfig:
 
     For ``evolve``/``evolve_many``, ``atol + rtol`` bounds each cell's local
     error and ``max_steps`` caps the number of cells; for ``evolve_dop54``
-    they keep their per-step Dormand-Prince meaning.
+    they keep their per-step Dormand-Prince meaning.  The CF4 estimate
+    resolves local errors down to about 1e-16 (two levels) to 3e-16 (three
+    levels); below its rounding floor, near 5e-17 and 1.5e-16, the
+    propagation raises ``EvolutionFailure`` as soon as refinement stops
+    lowering the estimate.
     """
 
     t_total: float
@@ -194,13 +205,22 @@ def _hamiltonian_stack(path: HamiltonianPath, shift: float):
     return stack
 
 
+def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of tiny matrices, as a broadcast sum over the inner index."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    return out
+
+
 class _Mesh:
     """CF4 cells over a window whose local error at ``t_max`` is within ``tol``.
 
-    ``window`` and ``cells`` yield accepted cells left to right as blocks
-    ``(h, lam, vec)``: widths (m,), and the eigenvalues (m, 2, d) and
+    The edges it refines mark off pairs of cells.  ``window`` and ``cells``
+    yield accepted cells, the halves of the accepted pairs, left to right as
+    blocks ``(h, lam, vec)``: widths (m,), and the eigenvalues (m, 2, d) and
     eigenvectors (m, 2, d, d) of each cell's two exponent matrices.
-    ``estimated`` counts every cell whose error was estimated.
+    ``estimated`` counts every half cell whose error was estimated.
     """
 
     def __init__(self, stack, t_max: float, tol: float):
@@ -210,10 +230,14 @@ class _Mesh:
         self.estimated = 0
 
     def _estimate(self, edges: np.ndarray):
-        """Local error per cell, plus the full cell's eigensystems."""
+        """Local error per pair of half cells, plus the halves' eigensystems.
+
+        ``edges`` mark off pairs; each pair's halves are the accepted cells,
+        left half first, and the full pair is only the Richardson reference.
+        """
         a = edges[:-1]
         h = np.diff(edges)
-        # (m, 3, 2) node grid: the full cell, then its two halves.
+        # (m, 3, 2) node grid: the full pair, then its two halves.
         starts = np.stack((a, a, a + 0.5 * h), axis=1)
         widths = np.stack((h, 0.5 * h, 0.5 * h), axis=1)
         hs = self.stack(starts[..., None] + widths[..., None] * _NODES)
@@ -224,11 +248,14 @@ class _Mesh:
         )
         lam, vec = np.linalg.eigh(b)
         phase = np.exp((-1j * self.t_max) * widths[..., None, None] * lam)
-        e = (vec * phase[..., None, :]) @ vec.swapaxes(-1, -2)
-        full = e[:, 0, 1] @ e[:, 0, 0]
-        half = e[:, 2, 1] @ e[:, 2, 0] @ e[:, 1, 1] @ e[:, 1, 0]
-        err = _RICHARDSON * np.sqrt(np.sum(np.abs(full - half) ** 2, axis=(-2, -1)))
-        self.estimated += h.shape[0]
+        e = _small_matmul(vec * phase[..., None, :], vec.swapaxes(-1, -2))
+        full = _small_matmul(e[:, 0, 1], e[:, 0, 0])
+        half = _small_matmul(
+            _small_matmul(e[:, 2, 1], e[:, 2, 0]), _small_matmul(e[:, 1, 1], e[:, 1, 0])
+        )
+        err = _HALF_SHARE * np.sqrt(np.sum(np.abs(full - half) ** 2, axis=(-2, -1)))
+        m, dim = h.shape[0], lam.shape[-1]
+        self.estimated += 2 * m
         if not np.all(np.isfinite(err)):
             bad = int(np.argmin(np.isfinite(err)))
             raise EvolutionFailure(
@@ -236,19 +263,24 @@ class _Mesh:
                 f"[{float(a[bad])!r}, {float(edges[bad + 1])!r}]",
                 {"s_bad": float(a[bad])},
             )
-        return err, h, lam[:, 0], vec[:, 0]
+        return (
+            err,
+            np.repeat(0.5 * h, 2),
+            lam[:, 1:].reshape(2 * m, 2, dim),
+            vec[:, 1:].reshape(2 * m, 2, dim, dim),
+        )
 
     def _need(self, err: np.ndarray) -> np.ndarray:
-        """Cells each estimated cell should become for an error of tol/_MESH_SAFETY**5.
+        """Pairs each estimated pair should become for an error of tol/_MESH_SAFETY**5.
 
         Floored above zero so that cumulative counts strictly increase.
         """
         return np.maximum(_MESH_SAFETY * (err / self.tol) ** 0.2, 1e-6)
 
     def window(self, lo: float, hi: float):
-        """Accepted cells covering [lo, hi], refined from a uniform trial mesh.
+        """Accepted cells covering [lo, hi], refined from a uniform trial mesh of pairs.
 
-        Trial cells span about 1/(_TRIAL_RATE * t_max), short enough for the
+        Trial pairs span about 1/(_TRIAL_RATE * t_max), short enough for the
         estimate to follow its h**5 law; they are made and refined one group
         at a time, so no array grows with t_max.
         """
@@ -261,7 +293,7 @@ class _Mesh:
             yield from self.cells(edges)
 
     def cells(self, edges: np.ndarray, depth: int = 0, parent: float = math.inf):
-        """Accepted cells covering [edges[0], edges[-1]], refined from the trial mesh ``edges``.
+        """Accepted cells covering [edges[0], edges[-1]], refined from the trial pairs ``edges``.
 
         ``parent`` is the worst estimate of the coarser mesh this one refines.
         """
@@ -283,21 +315,21 @@ class _Mesh:
                 {"s_bad": float(edges[0])},
             )
         need = self._need(err)
-        n = h.shape[0]
+        n = err.shape[0]
         if 8 * np.count_nonzero(~ok) <= n:
-            # A few stray cells: keep the passing runs, split the failing cells.
+            # A few stray pairs: keep the passing runs, split the failing pairs.
             start = 0
             for j in np.flatnonzero(~ok).tolist() + [n]:
                 if j > start:
-                    yield h[start:j], lam[start:j], vec[start:j]
+                    yield h[2 * start : 2 * j], lam[2 * start : 2 * j], vec[2 * start : 2 * j]
                 if j < n:
                     split = min(max(2, math.ceil(need[j])), _GROUP_CELLS)
                     sub = np.linspace(edges[j], edges[j + 1], split + 1)
                     yield from self.cells(sub, depth + 1, float(err[j]))
                 start = j + 1
             return
-        # Equidistribute again, in groups of cells whose predicted count fits
-        # one group; a single cell that needs more starts a uniform trial mesh.
+        # Equidistribute again, in groups of pairs whose predicted count fits
+        # one group; a single pair that needs more starts a uniform trial mesh.
         first = 0
         total = 0.0
         for i in range(n + 1):

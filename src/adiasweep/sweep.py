@@ -45,7 +45,8 @@ SCHEMA_VERSION = 1
 # or metrics that can move the records, so no record computed by older
 # numerics is served.  2: the CF4 exponential propagator replaced DOP5(4).
 # 3: exact Taylor jets replaced the finite-difference endpoint derivatives.
-NUMERICS_VERSION = 3
+# 4: the CF4 mesh propagates the half cells of its step-doubling estimate.
+NUMERICS_VERSION = 4
 
 CSV_HEADER = "T,eps,eps_bar_T,eps_bar_1,eps_bar_2,ratio1,ratio2,epsT2,slope,norm_drift"
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from adiasweep import acceptance
 from adiasweep.cli import main
 from adiasweep.config import (
     ConfigError,
@@ -203,3 +204,24 @@ def test_check_single_fast_criterion(tmp_path, capsys):
 
 def test_check_rejects_unknown_criterion(tmp_path, capsys):
     assert main(["check", "--only", "42", "--cache-dir", str(tmp_path / "c")]) == 1
+
+
+def test_check_rejects_empty_selection(monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an empty selection must not run the suite")
+
+    monkeypatch.setattr(acceptance, "run_all", no_run)
+    for only in (",", "", " , "):
+        assert main(["check", "--only", only, "--no-cache"]) == 1
+        assert "configuration error:" in capsys.readouterr().err
+
+
+def test_estimate_rejects_empty_orders(tmp_path, capsys):
+    assert main(["estimate", "--model", "two-level", "--orders", ","]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error:" in captured.err
+    assert "b_n" not in captured.out
+    cfg = tmp_path / "est.cfg"
+    cfg.write_text("model = two-level\norders = ,\n")
+    assert main(["estimate", "--config", str(cfg)]) == 1
+    assert "invalid value for orders" in capsys.readouterr().err

@@ -308,4 +308,99 @@ def test_tolerance_below_rounding_floor_fails_fast():
     psi0 = ground_state(TWO_LEVEL, 0.0)
     with pytest.raises(EvolutionFailure, match="rounding floor"):
         evolve(TWO_LEVEL, EvolutionConfig(t_total=200.0, rtol=1e-20, atol=1e-22), psi0)
+    # just below the floor of the two-level estimate (about 5e-17): the first
+    # trial group already stops improving, before any cell is propagated
+    with pytest.raises(EvolutionFailure, match="rounding floor") as excinfo:
+        evolve(TWO_LEVEL, EvolutionConfig(t_total=200.0, rtol=1e-17, atol=1e-19), psi0)
+    assert excinfo.value.diagnostics["steps_taken"] == 0
+    assert excinfo.value.diagnostics["rejected_steps"] < 10 * evolution._GROUP_CELLS
+
+
+def test_tolerance_above_rounding_floor_is_met():
+    psi0 = ground_state(TWO_LEVEL, 0.0)
+    result = evolve(TWO_LEVEL, EvolutionConfig(t_total=200.0, rtol=1e-16, atol=1e-18), psi0)
+    assert result.norm_drift < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, t, rtol, atol",
+    (
+        (ModelSpec("two-level", k=1e-2), 500.0, 1.5e-12, 1e-14),
+        (ModelSpec("three-level-case1", k=1e-3), 300.0, 2.5e-13, 1e-15),
+    ),
+    ids=lambda v: getattr(v, "model", None),
+)
+def test_eigensystems_per_propagated_cell(spec, t, rtol, atol, monkeypatch):
+    path = build(spec)
+    psi0 = ground_state(path, 0.0)
+    eigh = np.linalg.eigh
+    matrices = []
+
+    def counting_eigh(a, *args, **kwargs):
+        matrices.append(math.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    result = evolve(path, EvolutionConfig(t_total=t, rtol=rtol, atol=atol), psi0)
+    # each estimated pair diagonalizes 6 exponents and propagates 2 cells
+    assert sum(matrices) <= 3.5 * result.steps_taken
+
+
+def test_small_matmul_matches_matmul(rng):
+    for dim in (2, 3):
+        shape = (5, 3, 2, dim, dim)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # only the summation order differs: a few ulps of the O(1) entries
+        assert np.max(np.abs(evolution._small_matmul(a, b) - a @ b)) < 1e-14
+
+
+_GAUSS = math.sqrt(3.0) / 6.0
+
+
+def _cf4_reference(path, shift, t, a, b, substeps=64):
+    """CF4 propagator over [a, b] from equal substeps, assembling H one s at a time."""
+    eye = np.eye(path.dim)
+    h = (b - a) / substeps
+
+    def expm(m):  # exp(-i*t*h*m) for a real symmetric m
+        lam, vec = np.linalg.eigh(m)
+        return (vec * np.exp(-1j * t * h * lam)) @ vec.T
+
+    u = np.eye(path.dim, dtype=complex)
+    for n in range(substeps):
+        s = a + n * h
+        h0 = path.evaluate(s + (0.5 - _GAUSS) * h) - shift * eye
+        h1 = path.evaluate(s + (0.5 + _GAUSS) * h) - shift * eye
+        first = expm((0.25 + _GAUSS) * h0 + (0.25 - _GAUSS) * h1)
+        second = expm((0.25 - _GAUSS) * h0 + (0.25 + _GAUSS) * h1)
+        u = second @ first @ u
+    return u
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (ModelSpec("two-level", k=1e-3), ModelSpec("three-level-case1", k=1e-3)),
+    ids=lambda spec: spec.model,
+)
+@pytest.mark.parametrize("t", (50.0, 500.0))
+def test_local_error_estimate_is_calibrated(spec, t):
+    path = build(spec)
+    shift = path.diagonal_mean()
+    mesh = evolution._Mesh(evolution._hamiltonian_stack(path, shift), t, 1e-10)
+    widths = np.concatenate([block[0] for block in mesh.window(0.0, 1.0)])
+    pair_edges = np.concatenate(([0.0], np.cumsum(widths)))[::2]
+    n = pair_edges.shape[0] - 1
+    ratios = []
+    for i in sorted({0, 1, n // 3, n // 2, 2 * n // 3, n - 1}):
+        err, h, lam, vec = mesh._estimate(pair_edges[i : i + 2])
+        assert err[0] > 1e-13  # resolved well above the rounding of the reference
+        for half in (0, 1):  # left half first
+            a = pair_edges[i] + half * h[0]
+            phases = np.exp(-1j * t * h[half] * lam[half])
+            first, second = ((v * p) @ v.T for v, p in zip(vec[half], phases))
+            true = np.linalg.norm(second @ first - _cf4_reference(path, shift, t, a, a + h[half]))
+            ratios.append(true / err[0])
+    assert 0.5 <= min(ratios) and max(ratios) <= 2.0
+    assert 0.8 <= float(np.median(ratios)) <= 1.25
 

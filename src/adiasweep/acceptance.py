@@ -6,8 +6,8 @@ Sweep-shaped criteria go through the normal cached sweep runner, so a second
 invocation with the same cache directory is nearly free.
 
 Integration tolerances are chosen per criterion: ``atol + rtol`` bounds the
-local error of each propagated cell, which the propagator estimates by step
-doubling over pairs of cells.  Sweeps reaching larger total times run
+mean local error of the two propagated cells of each pair, which the
+propagator estimates by step doubling.  Sweeps reaching larger total times run
 proportionally tighter, since the global error sums over a number of cells
 that grows with t.  The propagator is unitary by construction, so the
 norm drift that criterion 8 audits against its 1e-9 budget stays at the

@@ -19,11 +19,13 @@ The ODE is linear, so a cell's local error does not depend on the state.
 It is estimated by step doubling at the batch's largest total time: the mesh
 is built from pairs of cells, the two halves of each pair are propagated,
 and the single CF4 step over the whole pair serves only as the reference.
-For a fifth-order local error, each half's error is 1/30 of the Frobenius
-norm of (pair propagator minus the product of the two half propagators).
-The pairs are equidistributed until every half's estimate is within
-``atol + rtol``, so one batched ``eigh`` of six exponents checks two
-propagated cells.  ``max_steps`` caps the number of cells.  The mesh is built
+For a fifth-order local error, the two halves together err by 1/15 of the
+Frobenius norm of (pair propagator minus the product of the two half
+propagators).  How that sum splits between the halves is not known from
+the pair alone, so the contract is per pair: the pairs are equidistributed
+until each pair's summed local error is within ``2 * (atol + rtol)``, i.e.
+its two cells' mean is within ``atol + rtol``.  One batched ``eigh`` of six
+exponents thus checks two propagated cells.  ``max_steps`` caps the number of cells.  The mesh is built
 and consumed left to right in bounded chunks, so memory does not grow with t.
 
 The propagation runs on H(s) - c*I with c the mean diagonal energy; the
@@ -68,8 +70,10 @@ _NODES = np.array((0.5 - _SQRT3_6, 0.5 + _SQRT3_6))
 _W0 = 0.25 + _SQRT3_6
 _W1 = 0.25 - _SQRT3_6
 # Step doubling for a fifth-order local error C*h**5: a pair of width H
-# gives U_H - U_{H/2}^2 = (1 - 2/32) C H**5, so each half's error C (H/2)**5
-# is that difference over 30 (and the whole pair's over 15).
+# gives U_H - U_{H/2}^2 = (1 - 2/32) C H**5, so the two halves together err
+# by that difference over 15, and their mean, one half's share, over 30.
+# Where C varies across the pair the halves' errors differ; only their sum
+# is estimated.
 _HALF_SHARE = 1.0 / 30.0
 
 # Pairs per equidistribution group and cells per propagation chunk; both
@@ -111,13 +115,14 @@ class EvolutionFailure(RuntimeError):
 class EvolutionConfig:
     """Total time, tolerances and the scaled-time window of one propagation.
 
-    For ``evolve``/``evolve_many``, ``atol + rtol`` bounds each cell's local
-    error and ``max_steps`` caps the number of cells; for ``evolve_dop54``
-    they keep their per-step Dormand-Prince meaning.  The CF4 estimate
-    resolves local errors down to about 1e-16 (two levels) to 3e-16 (three
-    levels); below its rounding floor, near 5e-17 and 1.5e-16, the
-    propagation raises ``EvolutionFailure`` as soon as refinement stops
-    lowering the estimate.
+    For ``evolve``/``evolve_many``, ``atol + rtol`` bounds the mean local
+    error of the two cells of each step-doubling pair (their sum is within
+    ``2 * (atol + rtol)``; one cell may take more than its half) and
+    ``max_steps`` caps the number of cells; for ``evolve_dop54`` they keep
+    their per-step Dormand-Prince meaning.  The CF4 estimate resolves
+    tolerances down to about 1e-16 (two levels) to 3e-16 (three levels);
+    below its rounding floor, near 5e-17 and 1.5e-16, the propagation raises
+    ``EvolutionFailure`` as soon as refinement stops lowering the estimate.
     """
 
     t_total: float
@@ -205,18 +210,12 @@ def _hamiltonian_stack(path: HamiltonianPath, shift: float):
     return stack
 
 
-def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks of tiny matrices, as a broadcast sum over the inner index."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
-    return out
-
-
 class _Mesh:
-    """CF4 cells over a window whose local error at ``t_max`` is within ``tol``.
+    """CF4 cells over a window whose mean local error per pair at ``t_max`` is within ``tol``.
 
-    The edges it refines mark off pairs of cells.  ``window`` and ``cells``
+    The edges it refines mark off pairs of cells; a pair is accepted when its
+    two cells' summed local error, estimated by step doubling, is within
+    ``2 * tol``.  ``window`` and ``cells``
     yield accepted cells, the halves of the accepted pairs, left to right as
     blocks ``(h, lam, vec)``: widths (m,), and the eigenvalues (m, 2, d) and
     eigenvectors (m, 2, d, d) of each cell's two exponent matrices.
@@ -230,7 +229,7 @@ class _Mesh:
         self.estimated = 0
 
     def _estimate(self, edges: np.ndarray):
-        """Local error per pair of half cells, plus the halves' eigensystems.
+        """Mean local error of each pair's two half cells, plus the halves' eigensystems.
 
         ``edges`` mark off pairs; each pair's halves are the accepted cells,
         left half first, and the full pair is only the Richardson reference.
@@ -248,11 +247,9 @@ class _Mesh:
         )
         lam, vec = np.linalg.eigh(b)
         phase = np.exp((-1j * self.t_max) * widths[..., None, None] * lam)
-        e = _small_matmul(vec * phase[..., None, :], vec.swapaxes(-1, -2))
-        full = _small_matmul(e[:, 0, 1], e[:, 0, 0])
-        half = _small_matmul(
-            _small_matmul(e[:, 2, 1], e[:, 2, 0]), _small_matmul(e[:, 1, 1], e[:, 1, 0])
-        )
+        e = (vec * phase[..., None, :]) @ vec.swapaxes(-1, -2)
+        full = e[:, 0, 1] @ e[:, 0, 0]
+        half = e[:, 2, 1] @ e[:, 2, 0] @ e[:, 1, 1] @ e[:, 1, 0]
         err = _HALF_SHARE * np.sqrt(np.sum(np.abs(full - half) ** 2, axis=(-2, -1)))
         m, dim = h.shape[0], lam.shape[-1]
         self.estimated += 2 * m

@@ -332,13 +332,13 @@ def run_all(
     numbers: tuple[int, ...] | None = None,
     printer=print,
 ) -> list[CriterionResult]:
-    """Run the selected criteria in order, printing one line per result.
+    """Run the selected criteria in order, each once, printing one line per result.
 
     Criterion 8 audits the drift of everything that ran before it, so a full
     run must keep the natural order (run_all does).
     """
     ctx = AcceptanceContext(cache_dir, use_cache)
-    picked = sorted(numbers) if numbers else sorted(CRITERIA)
+    picked = sorted(set(numbers)) if numbers else sorted(CRITERIA)
     results = []
     for n in picked:
         result = CRITERIA[n](ctx)

@@ -13,11 +13,13 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import acceptance
 from .config import (
     KNOWN_KEYS,
+    OUTPUT_FORMATS,
     ConfigError,
     merge_settings,
     model_spec_from_settings,
@@ -25,32 +27,38 @@ from .config import (
     sweep_config_from_settings,
 )
 from .evolution import EvolutionFailure
-from .hamiltonians import MODEL_NAMES, build
-from .metrics import DegenerateGapError, reference_scaling_estimate, switching_estimate
-from .schedules import ExponentialPulse, Parabola, PowerRamp, rational_pulse
-from .sweep import emit_csv, emit_json, load_or_run
+from .hamiltonians import MODEL_NAMES, ModelSpec, build
+from .metrics import REDUCTIONS, DegenerateGapError, reference_scaling_estimate, switching_estimate
+from .schedules import PREFACTOR_MODES, ExponentialPulse, Parabola, PowerRamp, rational_pulse
+from .sweep import SweepConfig, emit_csv, emit_json, load_or_run
 
 DEFAULT_CACHE_DIR = ".adiasweep-cache"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as configuration errors (exit 1, not argparse's 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# The sweep and estimate flags whose dest is a settings key take no type= or
+# choices=: their strings go through the parsers of config-file values
+# (config.PARSERS).  schedule-dump reads no settings, so argparse types its flags.
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=MODEL_NAMES, help="builtin model name")
-    parser.add_argument("--k", type=float, help="endpoint smoothing scale")
-    parser.add_argument("--k1", type=float, help="per-coupling smoothing override")
-    parser.add_argument("--k2", type=float, help="per-coupling smoothing override")
-    parser.add_argument("--k3", type=float, help="per-coupling smoothing override")
-    parser.add_argument("--n", type=int, dest="n", help="smoothing order (default 1)")
+    parser.add_argument("--model", help=" | ".join(MODEL_NAMES))
+    parser.add_argument("--k", help="endpoint smoothing scale")
+    for name in ("k1", "k2", "k3"):
+        parser.add_argument(f"--{name}", help="per-coupling smoothing override")
+    parser.add_argument("--n", help="smoothing order")
     for name in ("E0", "E1", "E2", "E3"):
-        parser.add_argument(f"--{name}", type=float, help=f"energy parameter {name}")
-    parser.add_argument(
-        "--prefactor",
-        choices=("midpoint-normalized", "as-printed"),
-        help="normalization of the smoothed pulse (default midpoint-normalized)",
-    )
+        parser.add_argument(f"--{name}", help=f"energy parameter {name}")
+    parser.add_argument("--prefactor", help=" | ".join(PREFACTOR_MODES))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adiasweep",
         description="Adiabatic state-preparation error scaling: sweeps and estimates.",
     )
@@ -59,26 +67,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a total-time sweep")
     sweep.add_argument("--config", help="flat key=value config file")
     _add_model_flags(sweep)
-    sweep.add_argument("--tmin", type=float, dest="t_min")
-    sweep.add_argument("--tmax", type=float, dest="t_max")
-    sweep.add_argument("--ppd", type=int, dest="points_per_decade", help="grid points per decade")
-    sweep.add_argument("--tau0", type=float, help="averaging window scale")
-    sweep.add_argument("--samples", type=int, help="window samples per grid point")
-    sweep.add_argument("--reduction", choices=("rms", "mean"), help="window reduction")
-    sweep.add_argument("--rtol", type=float)
-    sweep.add_argument("--atol", type=float)
-    sweep.add_argument("--s-start", type=float, dest="s_start")
-    sweep.add_argument("--s-end", type=float, dest="s_end")
-    sweep.add_argument("--workers", type=int)
+    sweep.add_argument("--tmin", dest="t_min")
+    sweep.add_argument("--tmax", dest="t_max")
+    sweep.add_argument("--ppd", dest="points_per_decade", help="grid points per decade")
+    sweep.add_argument("--tau0", help="averaging window scale")
+    sweep.add_argument("--samples", help="window samples per grid point")
+    sweep.add_argument("--reduction", help=" | ".join(REDUCTIONS))
+    sweep.add_argument("--rtol")
+    sweep.add_argument("--atol")
+    sweep.add_argument("--s-start", dest="s_start")
+    sweep.add_argument("--s-end", dest="s_end")
+    sweep.add_argument("--workers")
     sweep.add_argument("--out", help="output file path (default sweep.csv)")
-    sweep.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    sweep.add_argument("--format", help=" | ".join(OUTPUT_FORMATS) + " (default csv)")
     sweep.add_argument("--cache-dir", dest="cache_dir")
     sweep.add_argument("--no-cache", action="store_true", default=None, dest="no_cache")
 
     est = sub.add_parser("estimate", help="print the switching-estimate table")
     est.add_argument("--config", help="flat key=value config file")
     _add_model_flags(est)
-    est.add_argument("--orders", help="comma-separated estimate orders (default 1,2)")
+    est.add_argument("--orders", help="comma-separated estimate orders")
 
     dump = sub.add_parser("schedule-dump", help="write (s, value, deriv1) samples")
     dump.add_argument(
@@ -87,12 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="rational",
     )
     dump.add_argument("--k", type=float, default=1e-3)
-    dump.add_argument("--n", type=int, default=1)
-    dump.add_argument(
-        "--prefactor",
-        choices=("midpoint-normalized", "as-printed"),
-        default="midpoint-normalized",
-    )
+    dump.add_argument("--n", type=int, default=ModelSpec.order)
+    dump.add_argument("--prefactor", choices=PREFACTOR_MODES, default=ModelSpec.prefactor)
     dump.add_argument("--points", type=int, default=501)
     dump.add_argument("--out", default="schedule.csv")
 
@@ -104,20 +108,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    return {k: getattr(args, k) for k in KNOWN_KEYS if hasattr(args, k)}
+def _settings(args: argparse.Namespace) -> dict:
+    file_values = parse_config_file(args.config) if args.config else {}
+    return merge_settings(file_values, {k: v for k, v in vars(args).items() if k in KNOWN_KEYS})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    settings = merge_settings(file_values, _collect_overrides(args))
+    settings = _settings(args)
     cfg = sweep_config_from_settings(settings)
-    out_path = str(settings.get("out", "sweep.csv"))
-    out_format = str(settings.get("format", "csv"))
-    cache_dir = str(settings.get("cache_dir", DEFAULT_CACHE_DIR))
-    use_cache = not bool(settings.get("no_cache", False))
-    records = load_or_run(cfg, cache_dir, use_cache)
-    if out_format == "json":
+    out_path = settings.get("out", "sweep.csv")
+    cache_dir = settings.get("cache_dir", DEFAULT_CACHE_DIR)
+    records = load_or_run(cfg, cache_dir, not settings.get("no_cache", False))
+    if settings.get("format") == "json":
         emit_json(records, cfg, out_path)
     else:
         emit_csv(records, out_path)
@@ -129,10 +131,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    settings = merge_settings(file_values, _collect_overrides(args))
+    settings = _settings(args)
     spec = model_spec_from_settings(settings)
-    orders = settings.get("orders", (1, 2))
+    # A dataclass field's default is also its class attribute.
+    orders = settings.get("orders", SweepConfig.estimate_orders)
     path = build(spec)
     print(f"model={spec.model} k={spec.k:g} order={spec.order} energies={spec.energy_values()}")
     print(f"{'n':>3} {'b_n(start)':>14} {'b_n(end)':>14} {'b_n':>14}")
@@ -155,16 +157,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule_dump(args: argparse.Namespace) -> int:
-    if args.family == "parabola":
+    if not (math.isfinite(args.k) and args.k >= 0.0):
+        raise ConfigError(f"--k must be finite and >= 0, got {args.k}")
+    if args.points < 2:
+        raise ConfigError("need at least 2 sample points")
+    if args.family == "parabola" or args.k == 0.0:
         sched = Parabola()
     elif args.family == "rational":
         sched = rational_pulse(args.k, args.n, args.prefactor)
     elif args.family == "exponential":
-        sched = ExponentialPulse(args.k) if args.k > 0.0 else Parabola()
+        sched = ExponentialPulse(args.k)
     else:
-        sched = PowerRamp(args.k, args.n) if args.k > 0.0 else Parabola()
-    if args.points < 2:
-        raise ConfigError("need at least 2 sample points")
+        sched = PowerRamp(args.k, args.n)
     lines = ["s,value,deriv1"]
     for i in range(args.points):
         s = i / (args.points - 1)
@@ -191,8 +195,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "sweep": _cmd_sweep,
         "estimate": _cmd_estimate,
@@ -200,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (EvolutionFailure, DegenerateGapError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,44 +1,68 @@
 """Flat key-value config files and their merge with CLI flags.
 
 Files hold one ``key = value`` pair per line; blank lines and ``#`` comments
-are ignored.  CLI flags override file values, which override defaults.
-Recognized keys (all optional):
-
-    model, k, k1, k2, k3, n, E0, E1, E2, E3, prefactor,
-    t_min, t_max, points_per_decade, tau0, samples, reduction, orders,
-    rtol, atol, s_start, s_end, max_steps, workers,
-    out, format, cache_dir, no_cache
+are ignored.  CLI flags override file values.  ``PARSERS`` maps every key to
+the function that reads its text; a key that is set nowhere takes the default
+of ``ModelSpec``, ``TypicalErrorConfig`` or ``SweepConfig``.
 """
 
 from __future__ import annotations
 
-from .hamiltonians import ModelSpec
-from .metrics import TypicalErrorConfig
+from dataclasses import fields
+
+from .hamiltonians import MODEL_NAMES, ModelSpec
+from .metrics import REDUCTIONS, TypicalErrorConfig
+from .schedules import PREFACTOR_MODES
 from .sweep import SweepConfig
+
+OUTPUT_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
     """Malformed config file or invalid parameter combination."""
 
 
-_MODEL_KEYS = ("model", "k", "k1", "k2", "k3", "n", "E0", "E1", "E2", "E3", "prefactor")
-_SWEEP_KEYS = (
-    "t_min",
-    "t_max",
-    "points_per_decade",
-    "tau0",
-    "samples",
-    "reduction",
-    "orders",
-    "rtol",
-    "atol",
-    "s_start",
-    "s_end",
-    "max_steps",
-    "workers",
-)
-_OUTPUT_KEYS = ("out", "format", "cache_dir", "no_cache")
-KNOWN_KEYS = frozenset(_MODEL_KEYS + _SWEEP_KEYS + _OUTPUT_KEYS)
+def _choice(names: tuple[str, ...]):
+    def parse(value: str) -> str:
+        if value not in names:
+            raise ValueError(f"choose from {', '.join(names)}")
+        return value
+
+    return parse
+
+
+def _boolean(value: str) -> bool:
+    if value.lower() in ("1", "true", "yes"):
+        return True
+    if value.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+def _orders(value: str) -> tuple[int, ...]:
+    orders = tuple(int(part) for part in value.split(",") if part.strip())
+    if not orders:
+        raise ValueError("no orders given")
+    if min(orders) < 1:
+        raise ValueError("orders must be >= 1")
+    return orders
+
+
+PARSERS = {
+    "model": _choice(MODEL_NAMES),
+    **dict.fromkeys(("k", "k1", "k2", "k3", "E0", "E1", "E2", "E3"), float),
+    "n": int,
+    "prefactor": _choice(PREFACTOR_MODES),
+    **dict.fromkeys(("t_min", "t_max", "tau0", "rtol", "atol", "s_start", "s_end"), float),
+    **dict.fromkeys(("points_per_decade", "samples", "max_steps", "workers"), int),
+    "reduction": _choice(REDUCTIONS),
+    "orders": _orders,
+    "out": str,
+    "format": _choice(OUTPUT_FORMATS),
+    "cache_dir": str,
+    "no_cache": _boolean,
+}
+KNOWN_KEYS = frozenset(PARSERS)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -62,24 +86,9 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _convert(key: str, value: str):
+def _parse(key: str, value: str):
     try:
-        if key in ("model", "prefactor", "reduction", "format", "out", "cache_dir"):
-            return value
-        if key in ("n", "points_per_decade", "samples", "max_steps", "workers"):
-            return int(value)
-        if key == "no_cache":
-            if value.lower() in ("1", "true", "yes"):
-                return True
-            if value.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(f"expected a boolean, got {value!r}")
-        if key == "orders":
-            orders = tuple(int(part) for part in value.split(",") if part.strip())
-            if not orders:
-                raise ValueError("no orders given")
-            return orders
-        return float(value)
+        return PARSERS[key](value)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {key}: {value!r} ({exc})") from exc
 
@@ -87,17 +96,26 @@ def _convert(key: str, value: str):
 def merge_settings(file_values: dict[str, str], overrides: dict[str, object]) -> dict[str, object]:
     """Typed settings dict; ``overrides`` (CLI flags) win over file values.
 
-    String overrides are converted like file values; typed ones are kept.
+    String overrides are parsed like file values; typed ones are kept.
     """
-    settings: dict[str, object] = {}
-    for key, value in file_values.items():
-        settings[key] = _convert(key, value)
+    settings = {key: _parse(key, value) for key, value in file_values.items()}
     for key, value in overrides.items():
         if value is not None:
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"unknown setting {key!r}")
-            settings[key] = _convert(key, value) if isinstance(value, str) else value
+            settings[key] = _parse(key, value) if isinstance(value, str) else value
     return settings
+
+
+# Settings keys whose dataclass field has another name.
+_FIELD_NAMES = {"n": "order", "orders": "estimate_orders"}
+
+
+def _present(settings: dict[str, object], cls, skip: tuple[str, ...] = ()) -> dict[str, object]:
+    """Keyword arguments of ``cls`` for the settings that are set; the rest keep their defaults."""
+    names = {f.name for f in fields(cls)}.difference(skip)
+    renamed = ((_FIELD_NAMES.get(key, key), value) for key, value in settings.items())
+    return {name: value for name, value in renamed if name in names}
 
 
 def model_spec_from_settings(settings: dict[str, object]) -> ModelSpec:
@@ -117,16 +135,7 @@ def model_spec_from_settings(settings: dict[str, object]) -> ModelSpec:
             raise ConfigError(f"model {model} needs all of {needed}; missing {missing}")
         energies = tuple(float(settings[k]) for k in needed)
     try:
-        return ModelSpec(
-            model=str(model),
-            k=float(settings.get("k", 0.0)),
-            k1=settings.get("k1"),
-            k2=settings.get("k2"),
-            k3=settings.get("k3"),
-            energies=energies,
-            order=int(settings.get("n", 1)),
-            prefactor=str(settings.get("prefactor", "midpoint-normalized")),
-        )
+        return ModelSpec(energies=energies, **_present(settings, ModelSpec))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -134,24 +143,9 @@ def model_spec_from_settings(settings: dict[str, object]) -> ModelSpec:
 def sweep_config_from_settings(settings: dict[str, object]) -> SweepConfig:
     spec = model_spec_from_settings(settings)
     try:
-        typical = TypicalErrorConfig(
-            tau0=float(settings.get("tau0", 1.0)),
-            samples=int(settings.get("samples", 64)),
-            reduction=str(settings.get("reduction", "rms")),
-        )
+        typical = TypicalErrorConfig(**_present(settings, TypicalErrorConfig))
         return SweepConfig(
-            model=spec,
-            t_min=float(settings.get("t_min", 10.0)),
-            t_max=float(settings.get("t_max", 3e4)),
-            points_per_decade=int(settings.get("points_per_decade", 8)),
-            typical=typical,
-            estimate_orders=tuple(settings.get("orders", (1, 2))),
-            rtol=float(settings.get("rtol", 1e-10)),
-            atol=float(settings.get("atol", 1e-12)),
-            s_start=settings.get("s_start"),
-            s_end=settings.get("s_end"),
-            max_steps=int(settings.get("max_steps", 5_000_000)),
-            workers=int(settings.get("workers", 1)),
+            model=spec, typical=typical, **_present(settings, SweepConfig, skip=("model",))
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -63,3 +63,8 @@ def test_criterion_7_sqrt2_bound(results):
 
 def test_criterion_8_numerics_hygiene(results):
     _check(results, 8)
+
+
+def test_run_all_runs_a_repeated_number_once(tmp_path):
+    results = acceptance.run_all(cache_dir=str(tmp_path), numbers=(1, 1), printer=lambda line: None)
+    assert [r.number for r in results] == [1]

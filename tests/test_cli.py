@@ -10,6 +10,7 @@ from adiasweep.config import (
     parse_config_file,
     sweep_config_from_settings,
 )
+from adiasweep.sweep import cache_key
 
 SMALL_SWEEP = [
     "sweep",
@@ -44,6 +45,26 @@ def test_config_file_parsing(tmp_path):
     sweep_cfg = sweep_config_from_settings(settings)
     assert sweep_cfg.model.k == 1e-3
     assert sweep_cfg.typical.samples == 64
+
+
+def test_cache_key_of_a_file_plus_flags_is_pinned(tmp_path):
+    # Every sweep key differs from its default; the hex digest must not move
+    # when the parsing of settings changes, or every cached record goes stale.
+    cfg = tmp_path / "pin.cfg"
+    cfg.write_text(
+        "model = three-level-case1\nk = 2e-3\nk1 = 1e-3\nk2 = 3e-3\nn = 2\n"
+        "E1 = 1.5\nE2 = 0.75\nE3 = 2\nprefactor = as-printed\n"
+        "t_min = 40\nt_max = 900\npoints_per_decade = 5\n"
+        "tau0 = 2\nsamples = 24\nreduction = mean\norders = 1,3\n"
+        "rtol = 1e-9\natol = 1e-11\ns_start = 0.125\nmax_steps = 12345\n"
+    )
+    flags = {"k3": "4e-3", "s_end": "0.875", "workers": "3", "t_max": "1000"}
+    flags["orders"] = "2,1,3"
+    sweep_cfg = sweep_config_from_settings(merge_settings(parse_config_file(str(cfg)), flags))
+    assert sweep_cfg.model.energies == (1.5, 0.75, 2.0)
+    assert sweep_cfg.estimate_orders == (2, 1, 3)
+    assert sweep_cfg.workers == 3
+    assert cache_key(sweep_cfg) == "32b00a32c709dde72c8e4225bd0e27e7805f82dd0f43fe046bfa1ab9246a1d94"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -136,6 +157,57 @@ def test_sweep_rejects_non_finite_input(flags, monkeypatch, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, file_text",
+    [
+        (["--k", "abc"], ""),
+        (["--samples", "1.5"], ""),
+        (["--model", "six-level"], ""),
+        (["--reduction", "median"], ""),
+        (["--prefactor", "bogus"], ""),
+        ([], "format = xml\n"),
+        ([], "prefactor = bogus\n"),
+        ([], "orders = 0\n"),
+    ],
+    ids=[
+        "k", "samples", "model", "reduction", "prefactor",
+        "file-format", "file-prefactor", "file-orders",
+    ],
+)
+def test_sweep_rejects_malformed_values(flags, file_text, tmp_path, monkeypatch, capsys):
+    # Flags and config files share one parser per key, so both are refused
+    # with the configuration exit code before anything runs.
+    def no_run(*args, **kwargs):
+        raise AssertionError("rejected input must not reach the sweep")
+
+    monkeypatch.setattr("adiasweep.cli.load_or_run", no_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = two-level-exp\nk = 1e-2\nt_min = 15\nt_max = 20\n" + file_text)
+    assert main(["sweep", "--config", str(cfg)] + flags) == 1
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "two-level", "--bogus-flag"],
+        ["schedule-dump", "--points", "abc"],
+        [],
+    ],
+    ids=["unknown-flag", "points-abc", "no-subcommand"],
+)
+def test_usage_errors_exit_with_configuration_code(argv, capsys):
+    assert main(argv) == 1
+    assert "configuration error:" in capsys.readouterr().err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--tmax" in capsys.readouterr().out
+
+
 def test_estimate_output(capsys):
     assert main(["estimate", "--model", "three-level-case2", "--k", "1e-3"]) == 0
     out = capsys.readouterr().out
@@ -165,8 +237,8 @@ def test_estimate_orders_from_config_file(tmp_path, capsys):
 
 
 def test_estimate_rejects_unknown_model(capsys):
-    with pytest.raises(SystemExit):  # argparse choices
-        main(["estimate", "--model", "six-level"])
+    assert main(["estimate", "--model", "six-level"]) == 1
+    assert "configuration error:" in capsys.readouterr().err
 
 
 def test_schedule_dump(tmp_path):
@@ -195,6 +267,36 @@ def test_schedule_dump_exponential(tmp_path):
     assert float(rows[-1].split(",")[1]) == 0.0
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "-1"])
+def test_schedule_dump_rejects_bad_k(k, tmp_path, capsys):
+    out = tmp_path / "sched.csv"
+    for family in ("rational", "exponential", "ramp", "parabola"):
+        argv = ["schedule-dump", "--family", family, "--k", k, "--out", str(out)]
+        assert main(argv) == 1
+        assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_schedule_dump_k_zero_is_the_parabola(tmp_path):
+    out = tmp_path / "sched.csv"
+    for family in ("rational", "exponential", "ramp"):
+        argv = ["schedule-dump", "--family", family, "--k", "0", "--points", "5", "--out", str(out)]
+        assert main(argv) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert [float(value) for _, value, _ in rows] == [0.0, 0.1875, 0.25, 0.1875, 0.0]
+
+
+def test_schedule_dump_rejects_too_few_points(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the point count is checked before the schedule is built")
+
+    monkeypatch.setattr("adiasweep.cli.rational_pulse", no_build)
+    out = tmp_path / "sched.csv"
+    assert main(["schedule-dump", "--points", "1", "--out", str(out)]) == 1
+    assert "at least 2 sample points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_single_fast_criterion(tmp_path, capsys):
     assert main(["check", "--only", "1", "--cache-dir", str(tmp_path / "c")]) == 0
     out = capsys.readouterr().out
@@ -217,11 +319,13 @@ def test_check_rejects_empty_selection(monkeypatch, capsys):
 
 
 def test_estimate_rejects_empty_orders(tmp_path, capsys):
-    assert main(["estimate", "--model", "two-level", "--orders", ","]) == 1
-    captured = capsys.readouterr()
-    assert "configuration error:" in captured.err
-    assert "b_n" not in captured.out
+    # Orders are checked while the settings are read, before the table starts.
     cfg = tmp_path / "est.cfg"
-    cfg.write_text("model = two-level\norders = ,\n")
-    assert main(["estimate", "--config", str(cfg)]) == 1
-    assert "invalid value for orders" in capsys.readouterr().err
+    for orders in (",", "0", "1,-2"):
+        cfg.write_text(f"model = two-level\norders = {orders}\n")
+        flag = ["estimate", "--model", "two-level", "--orders", orders]
+        for argv in (flag, ["estimate", "--config", str(cfg)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "invalid value for orders" in captured.err
+            assert captured.out == ""

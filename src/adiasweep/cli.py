@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -57,6 +58,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prefactor", help=" | ".join(PREFACTOR_MODES))
 
 
+# Built once per process: the tree depends only on module constants, and
+# parse_args returns a fresh Namespace on every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="adiasweep",

@@ -237,35 +237,41 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 # caching
 
 
+def _float(x: float | None) -> float | None:
+    return None if x is None else float(x)
+
+
 def _canonical_config(cfg: SweepConfig) -> dict:
     """Numeric content of a config: everything that can change the records.
 
     Worker count is excluded on purpose (points are pure, order is fixed).
+    Float-typed fields go through float(), so configs that compare equal
+    with int or float values share one key.
     """
     lo, hi = cfg.window()
     m = cfg.model
     return {
         "model": {
             "name": m.model,
-            "k": m.k,
-            "k1": m.k1,
-            "k2": m.k2,
-            "k3": m.k3,
-            "energies": list(m.energy_values()),
+            "k": float(m.k),
+            "k1": _float(m.k1),
+            "k2": _float(m.k2),
+            "k3": _float(m.k3),
+            "energies": [float(e) for e in m.energy_values()],
             "order": m.order,
             "prefactor": m.prefactor,
         },
-        "t_min": cfg.t_min,
-        "t_max": cfg.t_max,
+        "t_min": float(cfg.t_min),
+        "t_max": float(cfg.t_max),
         "points_per_decade": cfg.points_per_decade,
-        "tau0": cfg.typical.tau0,
+        "tau0": float(cfg.typical.tau0),
         "samples": cfg.typical.samples,
         "reduction": cfg.typical.reduction,
         "estimate_orders": list(cfg.estimate_orders),
-        "rtol": cfg.rtol,
-        "atol": cfg.atol,
-        "s_start": lo,
-        "s_end": hi,
+        "rtol": float(cfg.rtol),
+        "atol": float(cfg.atol),
+        "s_start": float(lo),
+        "s_end": float(hi),
         "max_steps": cfg.max_steps,
     }
 
@@ -326,7 +332,8 @@ def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> lis
         fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=cache_dir)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+                # json.dumps uses the C encoder; json.dump never does.
+                fh.write(json.dumps(doc))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -408,6 +415,6 @@ def emit_json(records: list[SweepRecord], cfg: SweepConfig, path: str) -> None:
         **sweep_metadata(cfg),
         "records": [_record_to_dict(r) for r in records],
     }
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

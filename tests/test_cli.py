@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from adiasweep import acceptance
+from adiasweep import acceptance, cli
 from adiasweep.cli import main
 from adiasweep.config import (
     ConfigError,
@@ -10,7 +10,7 @@ from adiasweep.config import (
     parse_config_file,
     sweep_config_from_settings,
 )
-from adiasweep.sweep import cache_key
+from adiasweep.sweep import CSV_HEADER, cache_key
 
 SMALL_SWEEP = [
     "sweep",
@@ -199,6 +199,21 @@ def test_sweep_rejects_malformed_values(flags, file_text, tmp_path, monkeypatch,
 def test_usage_errors_exit_with_configuration_code(argv, capsys):
     assert main(argv) == 1
     assert "configuration error:" in capsys.readouterr().err
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # The parser is built once per process; no flag value may carry over.
+    assert cli._build_parser() is cli._build_parser()
+    cache = tmp_path / "cache"
+    first, last = tmp_path / "a.json", tmp_path / "b.csv"
+    argv = SMALL_SWEEP + ["--cache-dir", str(cache)]
+    assert main(argv + ["--format", "json", "--no-cache", "--out", str(first)]) == 0
+    assert json.loads(first.read_text())["records"]
+    assert not cache.exists()
+    assert main(argv + ["--bogus-flag"]) == 1
+    assert main(argv + ["--out", str(last)]) == 0
+    assert last.read_text().splitlines()[0] == CSV_HEADER
+    assert len(list(cache.glob("*.json"))) == 1
 
 
 def test_help_still_exits_zero(capsys):

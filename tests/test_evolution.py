@@ -413,3 +413,23 @@ def test_local_error_estimate_is_calibrated(spec, t, tol):
         ratios.append(true / (2.0 * err[0]))
     assert 0.5 <= min(ratios) and max(ratios) <= 2.0
     assert 0.8 <= float(np.median(ratios)) <= 1.25
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_advance_matches_dense_cell_product(dim):
+    rng = np.random.default_rng(dim)
+    cells = 5
+    b = rng.normal(size=(cells, 2, dim, dim))
+    lam, vec = np.linalg.eigh(b + b.swapaxes(-1, -2))
+    h = rng.uniform(0.005, 0.02, size=cells)
+    t_values = np.array([1.0, 40.0, 250.0, 1000.0])
+    y = rng.normal(size=(t_values.shape[0], dim)) + 1j * rng.normal(size=(t_values.shape[0], dim))
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    got = evolution._advance(y, h, lam, vec, t_values)
+    for n, t in enumerate(t_values):
+        u = np.eye(dim, dtype=complex)
+        for c in range(cells):
+            for e in range(2):  # the first exponential of a cell acts first
+                v = vec[c, e]
+                u = (v * np.exp(-1j * t * h[c] * lam[c, e])) @ v.T @ u
+        assert np.max(np.abs(got[n] - u @ y[n])) < 1e-13

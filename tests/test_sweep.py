@@ -70,6 +70,31 @@ def test_cache_key_stability():
     assert cache_key(small_config(workers=4)) == cache_key(a)
 
 
+def test_cache_key_ignores_int_versus_float():
+    m = ModelSpec("two-level")
+    pairs = [
+        (SweepConfig(m, t_max=60), SweepConfig(m, t_max=60.0)),
+        (small_config(model=ModelSpec("two-level", k=0)), small_config(model=m)),
+        (
+            small_config(
+                model=ModelSpec("three-level-case1", k=1, k1=2, k3=3, energies=(1, 2, 3)),
+                t_min=15, t_max=22, typical=TypicalErrorConfig(tau0=1), rtol=1, atol=1,
+                s_start=0, s_end=1,
+            ),
+            small_config(
+                model=ModelSpec(
+                    "three-level-case1", k=1.0, k1=2.0, k3=3.0, energies=(1.0, 2.0, 3.0)
+                ),
+                t_min=15.0, t_max=22.0, typical=TypicalErrorConfig(tau0=1.0), rtol=1.0,
+                atol=1.0, s_start=0.0, s_end=1.0,
+            ),
+        ),
+    ]
+    for ints, floats in pairs:
+        assert ints == floats
+        assert cache_key(ints) == cache_key(floats)
+
+
 def test_cache_key_changes_with_numerics_version(monkeypatch):
     cfg = small_config()
     before = cache_key(cfg)

@@ -13,9 +13,7 @@ so a cell is unitary by construction and exact when H is frozen.  The
 eigensystem of B does not depend on t: one batched ``np.linalg.eigh`` per
 chunk of cells serves every member of a batch of total times, and each
 member only adds its own phases exp(-i*t*h*lambda) and (n, d) @ (d, d)
-basis changes.  The phases, and the exponentials of the error estimate, are
-formed from real cos and sin: they cost about half of a complex exp, and with
-numpy 2.4 on x86-64 they match np.exp(-1j*x) bit for bit.
+basis changes.
 
 The ODE is linear, so a cell's local error does not depend on the state.
 It is estimated by step doubling at the batch's largest total time: the mesh
@@ -248,12 +246,8 @@ class _Mesh:
             axis=2,
         )
         lam, vec = np.linalg.eigh(b)
-        arg = (self.t_max * widths)[..., None, None] * lam
-        vec_t = vec.swapaxes(-1, -2)
-        e = np.empty(vec.shape, dtype=complex)
-        np.matmul(vec * np.cos(arg)[..., None, :], vec_t, out=e.real)
-        np.matmul(vec * np.sin(arg)[..., None, :], vec_t, out=e.imag)
-        np.negative(e.imag, out=e.imag)
+        phase = np.exp((-1j * self.t_max) * widths[..., None, None] * lam)
+        e = (vec * phase[..., None, :]) @ vec.swapaxes(-1, -2)
         full = e[:, 0, 1] @ e[:, 0, 0]
         half = e[:, 2, 1] @ e[:, 2, 0] @ e[:, 1, 1] @ e[:, 1, 0]
         err = _HALF_SHARE * np.sqrt(np.sum(np.abs(full - half) ** 2, axis=(-2, -1)))
@@ -373,13 +367,9 @@ def _advance(y: np.ndarray, h, lam, vec, t_values: np.ndarray) -> np.ndarray:
     dim = y.shape[1]
     lam = lam.reshape(m2, dim)
     vec = vec.reshape(m2, dim, dim)
-    # phases[e, member, level] = exp(-1j * arg) of exponential e, in the
-    # eigenbasis of its B
+    # phases[e, member, level] of exponential e, in the eigenbasis of its B
     arg = (np.repeat(h, 2)[:, None] * lam)[:, None, :] * t_values[:, None]
-    phases = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=phases.real)
-    np.sin(arg, out=phases.imag)
-    np.negative(phases.imag, out=phases.imag)
+    phases = np.exp(-1j * arg)
     # Real basis changes V_e^T V_{e+1}, laid out to act on the float view of
     # a complex row, whose (re, im) pairs share each coefficient.
     bridges = np.zeros((m2 - 1, dim, 2, dim, 2))

@@ -2,8 +2,11 @@
 
 Each criterion is a function of an AcceptanceContext that runs the real
 pipeline (no shortcuts through private state) and returns a CriterionResult.
-Sweep-shaped criteria go through the normal cached sweep runner, so a second
-invocation with the same cache directory is nearly free.
+Sweep-shaped criteria (4-7) go through the normal cached sweep runner, so a
+second invocation with the same cache directory skips their sweeps.
+Criteria 2, 3 and 8 measure single points with ``measure_errors`` and are
+never cached: a warm run still pays for them, mostly criterion 3's long
+point at t=3e4.
 
 Integration tolerances are chosen per criterion: ``atol + rtol`` bounds the
 mean local error of the two propagated cells of each pair, which the

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import shutil
 import sys
 
 from . import acceptance
@@ -31,7 +32,7 @@ from .evolution import EvolutionFailure
 from .hamiltonians import MODEL_NAMES, ModelSpec, build
 from .metrics import REDUCTIONS, DegenerateGapError, reference_scaling_estimate, switching_estimate
 from .schedules import PREFACTOR_MODES, ExponentialPulse, Parabola, PowerRamp, rational_pulse
-from .sweep import SweepConfig, emit_csv, emit_json, load_or_run
+from .sweep import SweepConfig, cache_path, emit_csv, emit_json, load_or_run
 
 DEFAULT_CACHE_DIR = ".adiasweep-cache"
 
@@ -122,11 +123,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = sweep_config_from_settings(settings)
     out_path = settings.get("out", "sweep.csv")
     cache_dir = settings.get("cache_dir", DEFAULT_CACHE_DIR)
-    records = load_or_run(cfg, cache_dir, not settings.get("no_cache", False))
-    if settings.get("format") == "json":
-        emit_json(records, cfg, out_path)
-    else:
+    use_cache = not settings.get("no_cache", False)
+    records = load_or_run(cfg, cache_dir, use_cache)
+    if settings.get("format") != "json":
         emit_csv(records, out_path)
+    elif use_cache:
+        # The cache file is the JSON report, and load_or_run has just read or
+        # written it; writers replace it atomically, so it is always whole.
+        shutil.copyfile(cache_path(cfg, cache_dir), out_path)
+    else:
+        emit_json(records, cfg, out_path)
     failed = [r for r in records if not r.ok]
     print(f"wrote {len(records)} records to {out_path} ({len(failed)} failed points)")
     if failed:

@@ -4,7 +4,9 @@ A sweep walks a log-spaced grid of total times t, measures the single-shot
 error and the window-averaged typical error at each t, and tabulates them
 against the order-1 and order-2 switching estimates.  Points are independent
 pure computations, so worker count changes wall time but never the records;
-results are cached as JSON keyed by a content hash of the numeric config.
+results are cached keyed by a content hash of the numeric config.  The cache
+file is the sweep's JSON report, byte for byte, so a cached JSON request
+copies it and a cached CSV request reads its records.
 
 CSV schema (one row per grid point):
 
@@ -46,6 +48,10 @@ SCHEMA_VERSION = 1
 # numerics is served.  2: the CF4 exponential propagator replaced DOP5(4).
 # 3: exact Taylor jets replaced the finite-difference endpoint derivatives.
 # 4: the CF4 mesh propagates the half cells of its step-doubling estimate.
+# A cache file is the whole JSON report, so the version also covers what a
+# stored report holds beyond the records: the switching estimates, the
+# reference-scaling block and its note text.  Bump it with any change to
+# those as well, so no stored report outlives the code that wrote it.
 NUMERICS_VERSION = 4
 
 CSV_HEADER = "T,eps,eps_bar_T,eps_bar_1,eps_bar_2,ratio1,ratio2,epsT2,slope,norm_drift"
@@ -295,12 +301,26 @@ def _record_from_dict(d: dict) -> SweepRecord:
     return SweepRecord(**{name: d[name] for name in _CSV_FIELDS}, error=d.get("error"))
 
 
-def _load_cached(path: str) -> list[SweepRecord] | None:
-    """Records of a cache file, or None when it is missing, stale, corrupt or truncated."""
+def cache_path(cfg: SweepConfig, cache_dir: str) -> str:
+    """Where the report of ``cfg`` is stored in ``cache_dir``."""
+    return os.path.join(cache_dir, f"{cache_key(cfg)}.json")
+
+
+def _load_cached(path: str, key: str) -> list[SweepRecord] | None:
+    """Records of a stored report, or None when the file is not a usable report.
+
+    Missing, stale, corrupt and truncated files are unusable, and so are files
+    in the older records-only layout (no estimates) and reports stored under
+    a key other than ``key``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        if data.get("schema_version") != SCHEMA_VERSION:
+        if (
+            data.get("schema_version") != SCHEMA_VERSION
+            or data.get("key") != key
+            or "estimates" not in data
+        ):
             return None
         return [_record_from_dict(d) for d in data["records"]]
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
@@ -310,30 +330,26 @@ def _load_cached(path: str) -> list[SweepRecord] | None:
 def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> list[SweepRecord]:
     """Return cached records when the config hash matches, else compute and store.
 
-    A cache file that cannot be read back as records counts as a miss and is
-    rewritten.  Each writer goes through its own temporary file, so
-    concurrent writers of one key never interleave.
+    What is stored is the JSON report of the sweep (see ``emit_json``), so
+    its estimates are computed once per config, on the miss.  A cache file
+    that cannot be read back as a report counts as a miss and is rewritten.
+    Each writer goes through its own temporary file, so concurrent writers
+    of one key never interleave.
     """
     key = cache_key(cfg)
     path = os.path.join(cache_dir, f"{key}.json")
     if use_cache:
-        cached = _load_cached(path)
+        cached = _load_cached(path, key)
         if cached is not None:
             return cached
     records = run_sweep(cfg)
     if use_cache:
         os.makedirs(cache_dir, exist_ok=True)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "key": key,
-            "config": _canonical_config(cfg),
-            "records": [_record_to_dict(r) for r in records],
-        }
+        text = _render_report(records, cfg, key)
         fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=cache_dir)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # json.dumps uses the C encoder; json.dump never does.
-                fh.write(json.dumps(doc))
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -408,13 +424,19 @@ def sweep_metadata(cfg: SweepConfig) -> dict:
     return meta
 
 
-def emit_json(records: list[SweepRecord], cfg: SweepConfig, path: str) -> None:
+def _render_report(records: list[SweepRecord], cfg: SweepConfig, key: str) -> str:
+    """The JSON report: the text of both a cache file and ``emit_json``'s output."""
     doc = {
         "schema_version": SCHEMA_VERSION,
+        "key": key,
         "config": _canonical_config(cfg),
         **sweep_metadata(cfg),
         "records": [_record_to_dict(r) for r in records],
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def emit_json(records: list[SweepRecord], cfg: SweepConfig, path: str) -> None:
+    text = _render_report(records, cfg, cache_key(cfg))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -1,8 +1,9 @@
 """End-to-end acceptance gate: one test per shipped guarantee.
 
-The sweeps behind criteria 3-7 integrate millions of adaptive steps, so the
-whole module takes a few minutes.  Results are cached per config hash; point
-ADIASWEEP_ACCEPTANCE_CACHE at a persistent directory to make reruns cheap.
+Criteria 3-7 integrate to long total times, so the whole module takes most of
+a minute.  Sweep results (criteria 4-7) are cached per config hash; point
+ADIASWEEP_ACCEPTANCE_CACHE at a persistent directory to skip those sweeps on
+reruns.  Criteria 2, 3 and 8 are recomputed every time.
 """
 
 import os

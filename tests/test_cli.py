@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from adiasweep import acceptance, cli
+from adiasweep import acceptance, cli, sweep
 from adiasweep.cli import main
 from adiasweep.config import (
     ConfigError,
@@ -10,7 +10,7 @@ from adiasweep.config import (
     parse_config_file,
     sweep_config_from_settings,
 )
-from adiasweep.sweep import CSV_HEADER, cache_key
+from adiasweep.sweep import CSV_HEADER, cache_key, emit_json, load_or_run
 
 SMALL_SWEEP = [
     "sweep",
@@ -105,6 +105,28 @@ def test_sweep_json_output(tmp_path):
     assert doc["schema_version"] == 1
     assert doc["records"]
     assert doc["estimates"]["order-1"]["source"] == "model"
+
+
+def test_sweep_json_is_the_cache_file_byte_for_byte(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    argv = SMALL_SWEEP + ["--format", "json", "--cache-dir", str(cache)]
+    miss, hit, uncached = (tmp_path / f"{name}.json" for name in ("miss", "hit", "uncached"))
+    assert main(argv + ["--out", str(miss)]) == 0
+    (stored,) = cache.glob("*.json")
+    # A hit copies the stored report: no estimate is computed again.
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "sweep_metadata", None)
+        assert main(argv + ["--out", str(hit)]) == 0
+    assert main(argv + ["--no-cache", "--out", str(uncached)]) == 0
+    text = stored.read_bytes()
+    assert miss.read_bytes() == text
+    assert hit.read_bytes() == text
+    assert uncached.read_bytes() == text
+    cfg = sweep_config_from_settings(cli._settings(cli._build_parser().parse_args(argv)))
+    assert stored.name == f"{cache_key(cfg)}.json"
+    emitted = tmp_path / "emitted.json"
+    emit_json(load_or_run(cfg, str(cache)), cfg, str(emitted))
+    assert emitted.read_bytes() == text
 
 
 def test_sweep_config_file_with_override(tmp_path):

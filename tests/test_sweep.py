@@ -181,6 +181,38 @@ def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, damage):
     assert json.loads(path.read_text())["key"] == cache_key(cfg)
 
 
+def test_records_only_cache_file_is_a_miss_and_rewritten_as_report(tmp_path):
+    # The layout cache files had before they held the whole JSON report.
+    cfg = small_config()
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    key = cache_key(cfg)
+    path = cache_dir / f"{key}.json"
+    computed = run_sweep(cfg)
+    stale = [replace(r, eps=0.5) for r in computed]
+    path.write_text(json.dumps({
+        "schema_version": sweep.SCHEMA_VERSION,
+        "key": key,
+        "config": sweep._canonical_config(cfg),
+        "records": [sweep._record_to_dict(r) for r in stale],
+    }))
+    assert load_or_run(cfg, str(cache_dir)) == computed
+    report = tmp_path / "report.json"
+    emit_json(computed, cfg, str(report))
+    assert path.read_bytes() == report.read_bytes()
+
+
+def test_report_stored_under_another_key_is_a_miss(tmp_path):
+    cfg, other = small_config(), small_config(t_max=20.0)
+    cache_dir = tmp_path / "cache"
+    load_or_run(other, str(cache_dir))
+    misplaced = cache_dir / f"{cache_key(other)}.json"
+    path = cache_dir / f"{cache_key(cfg)}.json"
+    path.write_bytes(misplaced.read_bytes())
+    assert load_or_run(cfg, str(cache_dir)) == run_sweep(cfg)
+    assert json.loads(path.read_text())["key"] == cache_key(cfg)
+
+
 def test_cache_writer_uses_its_own_temporary_file(tmp_path):
     cfg = small_config()
     cache_dir = tmp_path / "cache"

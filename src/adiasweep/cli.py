@@ -32,7 +32,14 @@ from .evolution import EvolutionFailure
 from .hamiltonians import MODEL_NAMES, ModelSpec, build
 from .metrics import REDUCTIONS, DegenerateGapError, reference_scaling_estimate, switching_estimate
 from .schedules import PREFACTOR_MODES, ExponentialPulse, Parabola, PowerRamp, rational_pulse
-from .sweep import SweepConfig, cache_path, emit_csv, emit_json, load_or_run
+from .sweep import (
+    SweepConfig,
+    cache_path,
+    emit_csv,
+    emit_json,
+    has_reference_shortcut,
+    load_or_run,
+)
 
 DEFAULT_CACHE_DIR = ".adiasweep-cache"
 
@@ -154,7 +161,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             f"{order:>3} {est.start_coefficient:>14.6e} {est.end_coefficient:>14.6e} "
             f"{est.coefficient:>14.6e}"
         )
-    if spec.k > 0.0 and spec.model != "two-level-exp":
+    if has_reference_shortcut(spec):
         ref = reference_scaling_estimate(build(spec.base()), spec.k, spec.order)
         measured = switching_estimate(path, ref.error_order).coefficient
         print(

@@ -26,9 +26,8 @@ kept for window-integral diagnostics.
 from endpoint eigensystems and endpoint derivatives, giving the estimator
 curve b_n / t^n.  ``reference_scaling_estimate`` provides the commonly used
 shortcut that treats an order-n endpoint ramp on scale k as a bare
-(n!/k^n) rescaling of the first derivative; the exact transformed-path
-coefficient differs from that shortcut by (n+1)/(1+k)^n, which the result
-object records.
+(n!/k^n) rescaling of the first derivative.  Both are built from one walk
+over the endpoints, ``_endpoint_terms``.
 """
 
 from __future__ import annotations
@@ -117,9 +116,7 @@ class MeasuredError:
     t: float
     error: float
     typical: float
-    window_errors: tuple[float, ...]
     norm_drift_max: float
-    steps_taken: int
 
 
 def measure_errors(
@@ -138,9 +135,7 @@ def measure_errors(
         t=t,
         error=float(errs[0]),
         typical=reduce_window(errs[1:], te_cfg.reduction),
-        window_errors=tuple(float(e) for e in errs[1:]),
         norm_drift_max=float(np.max(batch.norm_drifts)),
-        steps_taken=batch.steps_taken,
     )
 
 
@@ -152,7 +147,7 @@ class LevelTerm:
     level: int
     gap: float
     element: complex
-    term: complex  # element / gap**(order + 1)
+    term: complex  # element / gap**power
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,43 @@ class SwitchingEstimate:
     coefficient: float
     level_terms: tuple[LevelTerm, ...] = field(repr=False)
 
-    def curve(self, t: float | np.ndarray):
-        """The estimator coefficient / t**order."""
-        return self.coefficient / np.asarray(t, dtype=float) ** self.order
+
+def _endpoint_terms(
+    path: HamiltonianPath, deriv_order: int, power: int
+) -> tuple[tuple[LevelTerm, ...], tuple[LevelTerm, ...]]:
+    """Level terms <j|d^m H/ds^m|g> / gap_j**power at s=0 and at s=1.
+
+    Returns one tuple per endpoint, excited levels in ascending order.  A
+    vanishing endpoint gap makes every estimate singular and raises
+    DegenerateGapError.
+    """
+    per_endpoint = []
+    for endpoint in (0, 1):
+        eig = hermitian_eigensystem(path.evaluate(float(endpoint)))
+        scale = max(1.0, float(np.max(np.abs(eig.eigenvalues))))
+        gaps = eig.gaps()
+        if np.any(gaps < _GAP_FLOOR * scale):
+            raise DegenerateGapError(
+                f"vanishing gap at endpoint {endpoint}: gaps {gaps.tolist()}"
+            )
+        h_m = path.endpoint_deriv(endpoint, deriv_order)
+        g = eig.ground
+        terms = []
+        for j in range(1, path.dim):
+            element = complex(np.vdot(eig.vector(j), h_m @ g))
+            term = element / gaps[j - 1] ** power
+            terms.append(LevelTerm(endpoint, j, float(gaps[j - 1]), element, term))
+        per_endpoint.append(tuple(terms))
+    return per_endpoint[0], per_endpoint[1]
+
+
+def _norm(terms: tuple[LevelTerm, ...]) -> float:
+    # A plain loop, not sum(): from Python 3.12 sum() compensates float
+    # rounding, which would move the coefficients in the last digit.
+    total = 0.0
+    for lt in terms:
+        total += abs(lt.term) ** 2
+    return math.sqrt(total)
 
 
 def switching_estimate(path: HamiltonianPath, order: int) -> SwitchingEstimate:
@@ -178,27 +207,9 @@ def switching_estimate(path: HamiltonianPath, order: int) -> SwitchingEstimate:
     """
     if order < 1:
         raise ValueError(f"estimate order must be >= 1, got {order}")
-    per_endpoint = []
-    terms: list[LevelTerm] = []
-    for endpoint in (0, 1):
-        eig = hermitian_eigensystem(path.evaluate(float(endpoint)))
-        scale = max(1.0, float(np.max(np.abs(eig.eigenvalues))))
-        gaps = eig.gaps()
-        if np.any(gaps < _GAP_FLOOR * scale):
-            raise DegenerateGapError(
-                f"vanishing gap at endpoint {endpoint}: gaps {gaps.tolist()}"
-            )
-        h_n = path.endpoint_deriv(endpoint, order)
-        g = eig.ground
-        total = 0.0
-        for j in range(1, path.dim):
-            element = complex(np.vdot(eig.vector(j), h_n @ g))
-            term = element / gaps[j - 1] ** (order + 1)
-            terms.append(LevelTerm(endpoint, j, float(gaps[j - 1]), element, term))
-            total += abs(term) ** 2
-        per_endpoint.append(math.sqrt(total))
-    b0, b1 = per_endpoint
-    return SwitchingEstimate(order, b0, b1, math.hypot(b0, b1), tuple(terms))
+    start, end = _endpoint_terms(path, order, order + 1)
+    b0, b1 = _norm(start), _norm(end)
+    return SwitchingEstimate(order, b0, b1, math.hypot(b0, b1), start + end)
 
 
 @dataclass(frozen=True)
@@ -207,11 +218,10 @@ class ReferenceScalingEstimate:
 
     ``bracket`` is the base path's first-derivative bracket evaluated with
     the gap powers of the order-(n+1) estimate.  The shortcut treats the
-    ramp as a bare n!/k^n rescaling of the first derivative, so the exact
-    transformed-path coefficient equals ``substituted_coefficient`` times
-    (n+1)/(1+k)^n; ``sqrt_prefactor_coefficient`` is the sqrt(n!/k^n)-scaled
-    variant often quoted for onset-timescale arguments.  Both are labeled
-    approximate wherever they are emitted.
+    ramp as a bare n!/k^n rescaling of the first derivative, which gives
+    ``substituted_coefficient``; ``sqrt_prefactor_coefficient`` is the
+    sqrt(n!/k^n)-scaled variant often quoted for onset-timescale arguments.
+    Both are labeled approximate wherever they are emitted.
     """
 
     ramp_order: int
@@ -220,18 +230,6 @@ class ReferenceScalingEstimate:
     bracket: float
     sqrt_prefactor_coefficient: float
     substituted_coefficient: float
-
-    def curve(self, t: float | np.ndarray):
-        return self.sqrt_prefactor_coefficient / np.asarray(t, dtype=float) ** self.error_order
-
-    def exact_to_substituted_ratio(self) -> float:
-        """Exact coefficient over the shortcut for a bare ramp^n transform.
-
-        (n+1)/(1+k)^n, from the series of ramp(s)^n * base * ramp(1-s)^n at
-        the endpoint.  Pulses carrying a midpoint normalization gain an extra
-        (1+2k)^(2n) on top of this.
-        """
-        return (self.ramp_order + 1) / (1.0 + self.k) ** self.ramp_order
 
 
 def reference_scaling_estimate(
@@ -247,19 +245,8 @@ def reference_scaling_estimate(
     if n > 0 and k <= 0.0:
         raise ValueError("a positive k is required for ramp order n >= 1")
     error_order = n + 1
-    total = 0.0
-    for endpoint in (0, 1):
-        eig = hermitian_eigensystem(path_base.evaluate(float(endpoint)))
-        gaps = eig.gaps()
-        scale = max(1.0, float(np.max(np.abs(eig.eigenvalues))))
-        if np.any(gaps < _GAP_FLOOR * scale):
-            raise DegenerateGapError(f"vanishing gap at endpoint {endpoint}")
-        h1 = path_base.endpoint_deriv(endpoint, 1)
-        g = eig.ground
-        for j in range(1, path_base.dim):
-            element = complex(np.vdot(eig.vector(j), h1 @ g))
-            total += abs(element / gaps[j - 1] ** (error_order + 1)) ** 2
-    bracket = math.sqrt(total)
+    start, end = _endpoint_terms(path_base, 1, error_order + 1)
+    bracket = _norm(start + end)
     boost = math.factorial(n) / k**n if n > 0 else 1.0
     return ReferenceScalingEstimate(
         ramp_order=n,

@@ -52,7 +52,10 @@ SCHEMA_VERSION = 1
 # stored report holds beyond the records: the switching estimates, the
 # reference-scaling block and its note text.  Bump it with any change to
 # those as well, so no stored report outlives the code that wrote it.
-NUMERICS_VERSION = 4
+# 5: LAPACK eigh replaced the 2x2 closed form and the Jacobi iteration, which
+# moves ground states inside (0, 1) in the last digit, and the reference
+# block's exact_to_substituted_ratio became the measured ratio.
+NUMERICS_VERSION = 5
 
 CSV_HEADER = "T,eps,eps_bar_T,eps_bar_1,eps_bar_2,ratio1,ratio2,epsT2,slope,norm_drift"
 
@@ -63,12 +66,21 @@ _ZERO_COEFFICIENT = 1e-12
 
 REFERENCE_SHORTCUT_NOTE = (
     "The shortcut coefficient treats an order-n endpoint ramp on scale k as a "
-    "bare n!/k^n rescaling of the first endpoint derivative; the exact "
-    "endpoint derivative of the ramped path is larger by (n+1)/(1+k)^n. "
+    "bare n!/k^n rescaling of the first endpoint derivative.  "
+    "exact_to_substituted_ratio is the exact order-(n+1) coefficient of the "
+    "model's own path over the substituted one.  A bare ramp^n transform "
+    "would give (n+1)/(1+k)^n; the rational pulses also carry a prefactor, "
+    "which multiplies that by (1+2k)^(2n) when midpoint-normalized and "
+    "divides it by (1+2k)^(2n) when as-printed.  "
     "Estimator curves in the records use exact endpoint derivatives; the "
     "shortcut values are reference only.  The sqrt-prefactor variant combines "
     "squared per-level magnitudes, matching the exact estimator's structure."
 )
+
+
+def has_reference_shortcut(spec: ModelSpec) -> bool:
+    """Whether the n!/k^n shortcut describes ``spec``: a rational pulse, k > 0."""
+    return spec.k > 0.0 and spec.model != "two-level-exp"
 
 
 @dataclass(frozen=True)
@@ -408,8 +420,9 @@ def sweep_metadata(cfg: SweepConfig) -> dict:
         )
     meta = {"estimates": estimates}
     m = cfg.model
-    if m.model in ("two-level", "three-level-case1", "three-level-case2") and m.k > 0.0:
+    if has_reference_shortcut(m):
         ref = reference_scaling_estimate(build(m.base()), m.k, m.order)
+        exact = switching_estimate(path, ref.error_order).coefficient
         meta["reference_scaling"] = {
             "label": "approximate",
             "ramp_order": ref.ramp_order,
@@ -418,7 +431,7 @@ def sweep_metadata(cfg: SweepConfig) -> dict:
             "bracket": ref.bracket,
             "sqrt_prefactor_coefficient": ref.sqrt_prefactor_coefficient,
             "substituted_coefficient": ref.substituted_coefficient,
-            "exact_to_substituted_ratio": ref.exact_to_substituted_ratio(),
+            "exact_to_substituted_ratio": exact / ref.substituted_coefficient,
             "note": REFERENCE_SHORTCUT_NOTE,
         }
     return meta

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from adiasweep import acceptance
+from adiasweep.sweep import SweepRecord
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +70,20 @@ def test_criterion_8_numerics_hygiene(results):
 def test_run_all_runs_a_repeated_number_once(tmp_path):
     results = acceptance.run_all(cache_dir=str(tmp_path), numbers=(1, 1), printer=lambda line: None)
     assert [r.number for r in results] == [1]
+
+
+def test_context_sweeps_each_config_once(monkeypatch):
+    loads = []
+
+    def fake_load_or_run(cfg, cache_dir, use_cache=True):
+        loads.append(cfg)
+        return [SweepRecord(100.0, 0.1, 0.1, 0.1, 0.1, 1.0, 1.0, 1e3, None, 1e-14)]
+
+    monkeypatch.setattr(acceptance, "load_or_run", fake_load_or_run)
+    ctx = acceptance.AcceptanceContext("unused", use_cache=False)
+    cfg = acceptance.CROSSOVER_SWEEPS[1e-3]
+    first = ctx.sweep("c4 k=0.001", cfg)
+    second = ctx.sweep("c7", cfg)
+    assert loads == [cfg]
+    assert second == first
+    assert [label for label, _ in ctx.drift_log] == ["c4 k=0.001 t=100", "c7 t=100"]

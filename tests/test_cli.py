@@ -64,7 +64,7 @@ def test_cache_key_of_a_file_plus_flags_is_pinned(tmp_path):
     assert sweep_cfg.model.energies == (1.5, 0.75, 2.0)
     assert sweep_cfg.estimate_orders == (2, 1, 3)
     assert sweep_cfg.workers == 3
-    assert cache_key(sweep_cfg) == "32b00a32c709dde72c8e4225bd0e27e7805f82dd0f43fe046bfa1ab9246a1d94"
+    assert cache_key(sweep_cfg) == "0378d8d7bb7e32f0cbb221ffcf3ed7a611c9f38a11d6b37e1d16e4e0f94e2a40"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -251,6 +251,27 @@ def test_estimate_output(capsys):
     assert "b_n" in out
     assert "0.000000e+00" in out  # order-1 coefficient vanishes
     assert "approximate order-2 reference" in out
+
+
+@pytest.mark.parametrize(
+    "prefactor, printed", [("midpoint-normalized", "2.060198"), ("as-printed", "1.903305")]
+)
+def test_estimate_ratio_is_the_json_reports_ratio(capsys, prefactor, printed):
+    # (n+1)/(1+k)^n = 1.980198, times or divided by the prefactor's (1+2k)^(2n)
+    argv = ["--model", "two-level", "--k", "1e-2", "--prefactor", prefactor]
+    assert main(["estimate"] + argv) == 0
+    assert f"(exact/substituted = {printed})" in capsys.readouterr().out
+    cfg = sweep_config_from_settings(cli._settings(cli._build_parser().parse_args(["sweep"] + argv)))
+    ratio = sweep.sweep_metadata(cfg)["reference_scaling"]["exact_to_substituted_ratio"]
+    assert f"{ratio:.6f}" == printed
+
+
+def test_exponential_pulse_has_no_reference_shortcut(capsys):
+    argv = ["--model", "two-level-exp", "--k", "1e-2"]
+    assert main(["estimate"] + argv) == 0
+    assert "reference" not in capsys.readouterr().out
+    cfg = sweep_config_from_settings(cli._settings(cli._build_parser().parse_args(["sweep"] + argv)))
+    assert "reference_scaling" not in sweep.sweep_metadata(cfg)
 
 
 def _estimate_orders(out):

@@ -11,9 +11,11 @@ with Gauss nodes c0,1 = 1/2 -+ sqrt(3)/6 and weights w0,1 = 1/4 +- sqrt(3)/6.
 Every factor is the exponential of a real symmetric matrix B times -i*t*h,
 so a cell is unitary by construction and exact when H is frozen.  The
 eigensystem of B does not depend on t: one batched ``np.linalg.eigh`` per
-chunk of cells serves every member of a batch of total times, and each
-member only adds its own phases exp(-i*t*h*lambda) and (n, d) @ (d, d)
-basis changes.
+chunk of cells serves every member of a batch of total times.  A member only
+adds its own phases exp(-i*t*h*(lambda - lambda_0)), relative to each
+exponential's lowest level, and the real d x d basis changes between
+consecutive eigenbases act on all members' (d, n) coefficients at once; the
+common phase exp(-i*t*sum(h*lambda_0)) is restored once per chunk.
 
 The ODE is linear, so a cell's local error does not depend on the state.
 It is estimated by step doubling at the batch's largest total time: the mesh
@@ -210,6 +212,18 @@ def _hamiltonian_stack(path: HamiltonianPath, shift: float):
     return stack
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked tiny products a @ b, summed term by term over the inner index.
+
+    Stacked complex ``@`` makes one BLAS call per matrix, several times the
+    cost of these few broadcast products for 2x2 and 3x3 factors.
+    """
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    return out
+
+
 class _Mesh:
     """CF4 cells over a window whose mean local error per pair at ``t_max`` is within ``tol``.
 
@@ -247,10 +261,11 @@ class _Mesh:
         )
         lam, vec = np.linalg.eigh(b)
         phase = np.exp((-1j * self.t_max) * widths[..., None, None] * lam)
-        e = (vec * phase[..., None, :]) @ vec.swapaxes(-1, -2)
-        full = e[:, 0, 1] @ e[:, 0, 0]
-        half = e[:, 2, 1] @ e[:, 2, 0] @ e[:, 1, 1] @ e[:, 1, 0]
-        err = _HALF_SHARE * np.sqrt(np.sum(np.abs(full - half) ** 2, axis=(-2, -1)))
+        e = _mul(vec * phase[..., None, :], vec.swapaxes(-1, -2))
+        # cell propagators of the full pair, its left half and its right half
+        cell = _mul(e[:, :, 1], e[:, :, 0])
+        half = _mul(cell[:, 2], cell[:, 1])
+        err = _HALF_SHARE * np.sqrt(np.sum(np.abs(cell[:, 0] - half) ** 2, axis=(-2, -1)))
         m, dim = h.shape[0], lam.shape[-1]
         self.estimated += 2 * m
         if not np.all(np.isfinite(err)):
@@ -367,26 +382,24 @@ def _advance(y: np.ndarray, h, lam, vec, t_values: np.ndarray) -> np.ndarray:
     dim = y.shape[1]
     lam = lam.reshape(m2, dim)
     vec = vec.reshape(m2, dim, dim)
-    # phases[e, member, level] of exponential e, in the eigenbasis of its B
-    arg = (np.repeat(h, 2)[:, None] * lam)[:, None, :] * t_values[:, None]
+    widths = np.repeat(h, 2)
+    # phases[e, level - 1, member] of exponential e in the eigenbasis of its B,
+    # relative to its lowest level; the common phase is restored at the end.
+    arg = (widths[:, None] * (lam[:, 1:] - lam[:, :1]))[:, :, None] * t_values
     phases = np.exp(-1j * arg)
-    # Real basis changes V_e^T V_{e+1}, laid out to act on the float view of
-    # a complex row, whose (re, im) pairs share each coefficient.
-    bridges = np.zeros((m2 - 1, dim, 2, dim, 2))
-    w = vec[:-1].swapaxes(1, 2) @ vec[1:]
-    bridges[:, :, 0, :, 0] = w
-    bridges[:, :, 1, :, 1] = w
-    bridges = bridges.reshape(m2 - 1, 2 * dim, 2 * dim)
-    c = y @ vec[0]
+    # Real basis changes V_{e+1}^T V_e act on the float view of the
+    # (levels, members) coefficients, whose (re, im) pairs share each entry.
+    changes = vec[1:].swapaxes(1, 2) @ vec[:-1]
+    c = vec[0].T @ y.T
     out = np.empty_like(c)
-    c_f, out_f = c.view(float), out.view(float)
-    for phase, bridge in zip(phases, bridges):
-        c *= phase
-        np.dot(c_f, bridge, out=out_f)
-        c, out = out, c
-        c_f, out_f = out_f, c_f
-    c *= phases[-1]
-    return c @ vec[-1].T
+    c_f, out_f, c_up, out_up = c.view(float), out.view(float), c[1:], out[1:]
+    for phase, change in zip(phases, changes):
+        c_up *= phase
+        np.dot(change, c_f, out=out_f)
+        c_f, out_f, c_up, out_up = out_f, c_f, out_up, c_up
+    c_up *= phases[-1]
+    common = np.exp(-1j * np.dot(widths, lam[:, 0]) * t_values)
+    return (vec[-1] @ c_f.view(complex) * common).T
 
 
 def _propagate(
@@ -650,14 +663,14 @@ def _rk4_increment(stack, t: float, s: np.ndarray, h: float) -> np.ndarray:
     """
     a = (-1j * t) * stack(np.stack((s, s + 0.5 * h, s + h), axis=1))
     a0, am, a1 = a[:, 0], a[:, 1], a[:, 2]
-    k2 = am + (0.5 * h) * (am @ a0)
-    k3 = am + (0.5 * h) * (am @ k2)
-    k4 = a1 + h * (a1 @ k3)
+    k2 = am + (0.5 * h) * _mul(am, a0)
+    k3 = am + (0.5 * h) * _mul(am, k2)
+    k4 = a1 + h * _mul(a1, k3)
     d = (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
     while d.shape[0] > 1:
         even = d.shape[0] & ~1
         earlier, later = d[0:even:2], d[1:even:2]
-        d = np.concatenate((earlier + later + later @ earlier, d[even:]))
+        d = np.concatenate((earlier + later + _mul(later, earlier), d[even:]))
     return d[0]
 
 

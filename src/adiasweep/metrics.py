@@ -39,7 +39,7 @@ import numpy as np
 
 from .evolution import EvolutionConfig, evolve_many, ground_state
 from .hamiltonians import HamiltonianPath
-from .linalg import hermitian_eigensystem, overlap
+from .linalg import hermitian_eigensystem
 
 REDUCTIONS = ("rms", "mean")
 
@@ -50,27 +50,29 @@ class DegenerateGapError(ValueError):
     """An endpoint gap vanishes; the switching estimate is singular."""
 
 
-def true_error(psi_final: np.ndarray, g_final: np.ndarray) -> float:
+def true_error(psi_final: np.ndarray, g_final: np.ndarray) -> float | np.ndarray:
     """Norm of the component of psi_final orthogonal to g_final, in [0, 1].
 
-    Both states are divided by their actual norms, so the residual norm
-    drift of a propagated state (order 1e-10) cannot masquerade as error:
-    an uncompensated drift d would otherwise put a floor of sqrt(2d), around
-    1e-5, under every measurement.  Inputs still must be normalized to 1e-6.
-    The orthogonal component is formed directly rather than as
+    ``psi_final`` is one state (d,), scored as a float, or a stack (n, d),
+    scored as an array of n errors.  Both states are divided by their actual
+    norms, so the residual norm drift of a propagated state (order 1e-10)
+    cannot masquerade as error: an uncompensated drift d would otherwise put
+    a floor of sqrt(2d), around 1e-5, under every measurement.  Inputs still
+    must be normalized to 1e-6, each state of a stack on its own.  The
+    orthogonal component is formed directly rather than as
     sqrt(1 - |<g|psi>|^2), which cancels and loses all precision below
     eps ~ 1e-8.
     """
-    norms = []
-    for name, v in (("psi_final", psi_final), ("g_final", g_final)):
-        n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > 1e-6:
+    psi = np.asarray(psi_final)
+    psi_norm = np.linalg.norm(psi, axis=-1)
+    g_norm = np.linalg.norm(g_final)
+    for name, n in (("psi_final", psi_norm), ("g_final", g_norm)):
+        if np.any(np.abs(n - 1.0) > 1e-6):
             raise ValueError(f"{name} is not normalized")
-        norms.append(n)
-    psi_norm, g_norm = norms
-    ov = overlap(g_final, psi_final)
-    residual = psi_final / psi_norm - g_final * (ov / (g_norm**2 * psi_norm))
-    return float(np.linalg.norm(residual))
+    ov = psi @ np.conj(g_final)  # <g|psi> of each state
+    residual = psi / psi_norm[..., None] - g_final * (ov / (g_norm**2 * psi_norm))[..., None]
+    errors = np.linalg.norm(residual, axis=-1)
+    return float(errors) if errors.ndim == 0 else errors
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def measure_errors(
     g_end = ground_state(path, ev_cfg.s_end)
     ts = np.concatenate(([t], window_samples(t, te_cfg)))
     batch = evolve_many(path, ev_cfg, ts, psi0)
-    errs = np.array([true_error(batch.final_states[i], g_end) for i in range(ts.shape[0])])
+    errs = true_error(batch.final_states, g_end)
     return MeasuredError(
         t=t,
         error=float(errs[0]),

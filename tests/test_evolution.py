@@ -34,6 +34,15 @@ def test_constant_diagonal_pure_phase():
     result = evolve(path, EvolutionConfig(t_total=10.0), psi0)
     assert abs(result.final_state[0] - cmath.exp(-10.0j)) < 1e-9
     assert abs(result.final_state[1]) == 0.0
+    # three levels over about 125 chunks: a common phase per chunk that is
+    # dropped, doubled or taken from the wrong level is off by O(1)
+    energies = (0.0, 1.0, 2.5)
+    path = HamiltonianPath(3, energies, ())
+    for j, energy in enumerate(energies):
+        psi0 = np.eye(3, dtype=complex)[j]
+        result = evolve(path, EvolutionConfig(t_total=4000.0), psi0)
+        assert result.steps_taken >= 100 * evolution._CHUNK_CELLS
+        assert np.max(np.abs(result.final_state - cmath.exp(-4000.0j * energy) * psi0)) < 1e-9
 
 
 def test_ground_state_is_basis_vector_at_endpoints():
@@ -418,18 +427,34 @@ def test_local_error_estimate_is_calibrated(spec, t, tol):
 @pytest.mark.parametrize("dim", (2, 3))
 def test_advance_matches_dense_cell_product(dim):
     rng = np.random.default_rng(dim)
-    cells = 5
-    b = rng.normal(size=(cells, 2, dim, dim))
-    lam, vec = np.linalg.eigh(b + b.swapaxes(-1, -2))
-    h = rng.uniform(0.005, 0.02, size=cells)
-    t_values = np.array([1.0, 40.0, 250.0, 1000.0])
-    y = rng.normal(size=(t_values.shape[0], dim)) + 1j * rng.normal(size=(t_values.shape[0], dim))
-    y /= np.linalg.norm(y, axis=1)[:, None]
-    got = evolution._advance(y, h, lam, vec, t_values)
-    for n, t in enumerate(t_values):
-        u = np.eye(dim, dtype=complex)
-        for c in range(cells):
-            for e in range(2):  # the first exponential of a cell acts first
-                v = vec[c, e]
-                u = (v * np.exp(-1j * t * h[c] * lam[c, e])) @ v.T @ u
-        assert np.max(np.abs(got[n] - u @ y[n])) < 1e-13
+    # a chunk of several cells, a chunk of one cell, and a batch holding t=0
+    for cells, t_values in (
+        (5, np.array([1.0, 40.0, 250.0, 1000.0])),
+        (1, np.array([3.0, 700.0])),
+        (4, np.array([0.0, 60.0, 900.0])),
+    ):
+        b = rng.normal(size=(cells, 2, dim, dim))
+        lam, vec = np.linalg.eigh(b + b.swapaxes(-1, -2))
+        h = rng.uniform(0.005, 0.02, size=cells)
+        y = rng.normal(size=(t_values.shape[0], dim)) + 1j * rng.normal(size=(t_values.shape[0], dim))
+        y /= np.linalg.norm(y, axis=1)[:, None]
+        got = evolution._advance(y, h, lam, vec, t_values)
+        for n, t in enumerate(t_values):
+            u = np.eye(dim, dtype=complex)
+            for c in range(cells):
+                for e in range(2):  # the first exponential of a cell acts first
+                    v = vec[c, e]
+                    u = (v * np.exp(-1j * t * h[c] * lam[c, e])) @ v.T @ u
+            assert np.max(np.abs(got[n] - u @ y[n])) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "shape", ((512, 2, 2), (512, 3, 3), (64, 3, 2, 2, 2), (64, 3, 2, 3, 3)), ids=str
+)
+def test_mul_matches_matmul(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    want = a @ b
+    got = evolution._mul(a, b)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

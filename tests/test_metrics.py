@@ -62,6 +62,24 @@ def test_true_error_full_precision_at_small_error(rng):
             assert abs(true_error(psi, g) - math.sin(theta)) <= 1e-14
 
 
+def test_true_error_scores_a_stack(rng):
+    g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    g /= np.linalg.norm(g)
+    states = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    states[0] = g
+    errors = true_error(states, g)
+    assert isinstance(errors, np.ndarray) and errors.shape == (5,)
+    assert isinstance(true_error(states[1], g), float)
+    for psi, err in zip(states, errors):
+        assert abs(err - true_error(psi, g)) <= 1e-15
+    assert errors[0] <= 1e-15
+    # the normalization is checked state by state
+    states[3] *= 1.0 + 1e-5
+    with pytest.raises(ValueError, match="psi_final is not normalized"):
+        true_error(states, g)
+
+
 def test_typical_error_constant():
     cfg = TypicalErrorConfig(tau0=1.0, samples=32, reduction="mean")
     assert typical_error(lambda t: 0.7, 100.0, cfg) == pytest.approx(0.7, rel=1e-15)

@@ -29,7 +29,6 @@ from .linalg import (
     hermitian_eigensystem,
     hermiticity_defect,
     jacobi_eigensystem,
-    overlap,
 )
 from .metrics import (
     DegenerateGapError,

@@ -10,12 +10,12 @@ integrator CF4 (Blanes & Moan, Appl. Numer. Math. 56, 2006).  A cell
 with Gauss nodes c0,1 = 1/2 -+ sqrt(3)/6 and weights w0,1 = 1/4 +- sqrt(3)/6.
 Every factor is the exponential of a real symmetric matrix B times -i*t*h,
 so a cell is unitary by construction and exact when H is frozen.  The
-eigensystem of B does not depend on t: one batched ``np.linalg.eigh`` per
-chunk of cells serves every member of a batch of total times.  A member only
-adds its own phases exp(-i*t*h*(lambda - lambda_0)), relative to each
-exponential's lowest level, and the real d x d basis changes between
+eigensystem of B does not depend on t: the batched ``np.linalg.eigh`` that
+estimates a block of cells serves every member of a batch of total times.  A
+member only adds its own phases exp(-i*t*h*(lambda - lambda_0)), relative to
+each exponential's lowest level, and the real d x d basis changes between
 consecutive eigenbases act on all members' (d, n) coefficients at once; the
-common phase exp(-i*t*sum(h*lambda_0)) is restored once per chunk.
+common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.
 
 The ODE is linear, so a cell's local error does not depend on the state.
 It is estimated by step doubling at the batch's largest total time: the mesh
@@ -27,19 +27,23 @@ propagators).  How that sum splits between the halves is not known from
 the pair alone, so the contract is per pair: the pairs are equidistributed
 until each pair's summed local error is within ``2 * (atol + rtol)``, i.e.
 its two cells' mean is within ``atol + rtol``.  One batched ``eigh`` of six
-exponents thus checks two propagated cells.  ``max_steps`` caps the number of cells.  The mesh is built
-and consumed left to right in bounded chunks, so memory does not grow with t.
+exponents thus checks two propagated cells.  ``max_steps`` caps the number of
+cells.  The mesh is built left to right and each block of accepted cells is
+propagated as it comes; a block holds at most ``2 * _GROUP_CELLS`` cells, so
+memory does not grow with t.
 
 The propagation runs on H(s) - c*I with c the mean diagonal energy; the
 global phase exp(-i*c*t_total*(s_end-s_start)) is restored on the final
 state.
 
-Two reference integrators are kept as independent cross-checks:
-``evolve_dop54`` (adaptive embedded Dormand-Prince 5(4) with a PI step
-controller, whose truncation drift grows like 0.1 * t * rtol) and
+Two reference integrators are kept as independent cross-checks, each on a
+single state: ``evolve_dop54`` (adaptive embedded Dormand-Prince 5(4) with a
+PI step controller, whose truncation drift grows like 0.1 * t * rtol) and
 ``evolve_fixed_step`` (classic RK4 at a fixed step).  DOP5(4) assembles H
 at one scalar s at a time, apart from the vectorized assembly that CF4 and
 RK4 share, so a fault in that assembly still shows in the cross-check.
+All three integrators trust a final state only if its norm has drifted by
+at most ``NORM_DRIFT_LIMIT``.
 
 RK4 on the linear y' = A(s) y with A = -i*t*H is a product of per-step
 transfer matrices y -> (I + D_n) y, where with A_0, A_m, A_1 at s_n,
@@ -78,10 +82,10 @@ _W1 = 0.25 - _SQRT3_6
 # is estimated.
 _HALF_SHARE = 1.0 / 30.0
 
-# Pairs per equidistribution group and cells per propagation chunk; both
-# bound the working arrays independently of t.
+# Pairs per equidistribution group.  Every block of cells the mesh yields,
+# and so every block ``_advance`` propagates, holds at most twice as many
+# cells, which bounds the working arrays independently of t.
 _GROUP_CELLS = 128
-_CHUNK_CELLS = 32
 # Fixed RK4 steps whose transfer matrices are formed and multiplied as one
 # batch; bounds the working arrays independently of the step count.
 _RK4_CHUNK_STEPS = 1024
@@ -165,14 +169,6 @@ class BatchEvolutionResult:
     steps_taken: int
     rejected_steps: int
 
-    def result(self, i: int) -> EvolutionResult:
-        return EvolutionResult(
-            self.final_states[i],
-            float(self.norm_drifts[i]),
-            self.steps_taken,
-            self.rejected_steps,
-        )
-
 
 def ground_state(path: HamiltonianPath, s: float) -> np.ndarray:
     """Instantaneous ground state of H(s), phase-fixed."""
@@ -186,6 +182,21 @@ def _check_normalized(psi0: np.ndarray, dim: int) -> np.ndarray:
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("initial state is not normalized")
     return psi
+
+
+def _trusted(y: np.ndarray, diagnostics: dict) -> np.ndarray:
+    """Norm drift of each row of y; raises EvolutionFailure unless all are within the limit.
+
+    A non-finite state fails too.  ``diagnostics`` are attached to the failure.
+    """
+    drifts = np.abs(np.linalg.norm(y, axis=-1) - 1.0)
+    worst = float(np.max(drifts))
+    if not worst <= NORM_DRIFT_LIMIT:
+        raise EvolutionFailure(
+            f"norm drift {worst:.3e} exceeds {NORM_DRIFT_LIMIT:.1e}; integration untrusted",
+            {"norm_drift": worst, **diagnostics},
+        )
+    return drifts
 
 
 def fast_value(sched: Schedule):
@@ -360,24 +371,8 @@ class _Mesh:
                 total += need[i]
 
 
-def _rechunk(blocks, size: int):
-    """Regroup a stream of (h, lam, vec) cell blocks into chunks of ``size`` cells."""
-    pending = []
-    count = 0
-    for block in blocks:
-        pending.append(block)
-        count += block[0].shape[0]
-        while count >= size:
-            merged = [np.concatenate(parts) for parts in zip(*pending)]
-            yield tuple(x[:size] for x in merged)
-            count -= size
-            pending = [tuple(x[size:] for x in merged)] if count else []
-    if count:
-        yield tuple(np.concatenate(parts) for parts in zip(*pending))
-
-
 def _advance(y: np.ndarray, h, lam, vec, t_values: np.ndarray) -> np.ndarray:
-    """Apply a chunk of CF4 cells to the row states y (n, d)."""
+    """Apply a block of CF4 cells to the row states y (n, d)."""
     m2 = 2 * h.shape[0]
     dim = y.shape[1]
     lam = lam.reshape(m2, dim)
@@ -408,21 +403,15 @@ def _propagate(
     psi0: np.ndarray,
     cfg: EvolutionConfig,
 ) -> BatchEvolutionResult:
-    n = t_values.shape[0]
     span = cfg.s_end - cfg.s_start
-    t_max = float(np.max(t_values))
-
-    if t_max == 0.0:
-        states = np.tile(psi0, (n, 1))
-        return BatchEvolutionResult(states, np.abs(np.ones(n) * np.linalg.norm(psi0) - 1.0), 0, 0)
-
     shift = path.diagonal_mean()
-    mesh = _Mesh(_hamiltonian_stack(path, shift), t_max, cfg.atol + cfg.rtol)
-    y = np.tile(psi0, (n, 1))
+    # t_max = 0 gives an empty mesh and returns psi0 for every member
+    mesh = _Mesh(_hamiltonian_stack(path, shift), float(np.max(t_values)), cfg.atol + cfg.rtol)
+    y = np.tile(psi0, (t_values.shape[0], 1))
     s = cfg.s_start
     steps = 0
     try:
-        for h, lam, vec in _rechunk(mesh.window(cfg.s_start, cfg.s_end), _CHUNK_CELLS):
+        for h, lam, vec in mesh.window(cfg.s_start, cfg.s_end):
             take = min(h.shape[0], cfg.max_steps - steps)
             if take:
                 y = _advance(y, h[:take], lam[:take], vec[:take], t_values)
@@ -437,14 +426,8 @@ def _propagate(
         raise
 
     y *= np.exp(-1j * shift * t_values * span)[:, None]
-    drifts = np.abs(np.linalg.norm(y, axis=1) - 1.0)
     rejected = mesh.estimated - steps
-    worst = float(np.max(drifts))
-    if worst > NORM_DRIFT_LIMIT:
-        raise EvolutionFailure(
-            f"norm drift {worst:.3e} exceeds {NORM_DRIFT_LIMIT:.1e}; integration untrusted",
-            {"norm_drift": worst, "steps_taken": steps, "rejected_steps": rejected},
-        )
+    drifts = _trusted(y, {"steps_taken": steps, "rejected_steps": rejected})
     return BatchEvolutionResult(y, drifts, steps, rejected)
 
 
@@ -459,7 +442,9 @@ def evolve(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) -> Evo
     if cfg.t_total == 0.0:
         return EvolutionResult(psi.copy(), 0.0, 0, 0)
     batch = _propagate(path, np.array([cfg.t_total]), psi, cfg)
-    return batch.result(0)
+    return EvolutionResult(
+        batch.final_states[0], float(batch.norm_drifts[0]), batch.steps_taken, batch.rejected_steps
+    )
 
 
 def _check_t_values(t_values) -> np.ndarray:
@@ -530,25 +515,19 @@ def _initial_step(t_max: float, spread: float, span: float) -> float:
     return min(h, span)
 
 
-def _propagate_dop54(
-    path: HamiltonianPath,
-    t_values: np.ndarray,
-    psi0: np.ndarray,
-    cfg: EvolutionConfig,
-) -> BatchEvolutionResult:
-    """Batched DOP5(4) on one shared adaptive grid (the controller satisfies
-    the tolerance for every member)."""
-    n = t_values.shape[0]
+def evolve_dop54(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) -> EvolutionResult:
+    """Adaptive Dormand-Prince 5(4) with PI step control; a reference oracle.
+
+    ``rtol``/``atol`` bound each step's embedded error estimate and
+    ``max_steps`` caps step attempts.
+    """
+    psi = _check_normalized(psi0, path.dim)
+    if cfg.t_total == 0.0:
+        return EvolutionResult(psi.copy(), 0.0, 0, 0)
     dim = path.dim
     span = cfg.s_end - cfg.s_start
-    t_max = float(np.max(t_values))
-
-    if t_max == 0.0:
-        states = np.tile(psi0, (n, 1))
-        return BatchEvolutionResult(states, np.abs(np.ones(n) * np.linalg.norm(psi0) - 1.0), 0, 0)
-
     shift = path.diagonal_mean()
-    coeff = (-1j * t_values)[:, None]
+    coeff = -1j * cfg.t_total
 
     # The Hamiltonian buffer is rebuilt in place on every evaluation; the
     # matmul consumes it immediately, so reuse is safe.
@@ -557,8 +536,7 @@ def _propagate_dop54(
         h_buf[i, i] = path.diagonal[i] - shift
     entries = tuple((c.i, c.j, c.amplitude, c.schedule.value) for c in path.couplings)
 
-    kk = np.empty((7, n, dim), dtype=complex)
-    kk_flat = kk.reshape(7, n * dim)
+    kk = np.empty((7, dim), dtype=complex)
 
     def rhs_into(s: float, y_stage: np.ndarray, out: np.ndarray) -> None:
         for i, j, amp, value in entries:
@@ -568,9 +546,9 @@ def _propagate_dop54(
         np.dot(y_stage, h_buf, out=out)
         out *= coeff
 
-    y = np.tile(psi0, (n, 1))
+    y = psi
     s = cfg.s_start
-    h = _initial_step(t_max, _endpoint_spread(path, cfg.s_start, cfg.s_end), span)
+    h = _initial_step(cfg.t_total, _endpoint_spread(path, cfg.s_start, cfg.s_end), span)
 
     rhs_into(s, y, kk[0])
     err_old = 1.0
@@ -587,27 +565,25 @@ def _propagate_dop54(
             )
         h = min(h, cfg.s_end - s)
         last = s + h >= cfg.s_end
-        y_flat = y.reshape(-1)
 
         for i in range(1, 6):
-            stage = np.dot(_A[i], kk_flat[:i])
+            stage = np.dot(_A[i], kk[:i])
             stage *= h
-            stage += y_flat
-            rhs_into(s + _C[i] * h, stage.reshape(n, dim), kk[i])
+            stage += y
+            rhs_into(s + _C[i] * h, stage, kk[i])
 
-        y5_flat = np.dot(_A[6], kk_flat[:6])
-        y5_flat *= h
-        y5_flat += y_flat
-        y5 = y5_flat.reshape(n, dim)
+        y5 = np.dot(_A[6], kk[:6])
+        y5 *= h
+        y5 += y
         rhs_into(s + h, y5, kk[6])
 
-        err_flat = np.dot(_ERR, kk_flat)
-        err_flat *= h
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y_flat), np.abs(y5_flat))
-        ratio = np.abs(err_flat)
+        err_vec = np.dot(_ERR, kk)
+        err_vec *= h
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
+        ratio = np.abs(err_vec)
         ratio /= scale
         ratio *= ratio
-        err = math.sqrt(ratio.reshape(n, dim).sum(axis=1).max() / dim)
+        err = math.sqrt(ratio.sum() / dim)
         if not math.isfinite(err):
             raise EvolutionFailure(
                 f"non-finite error estimate at s={s!r}",
@@ -631,27 +607,9 @@ def _propagate_dop54(
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             h *= min(1.0, factor)
 
-    y = y * np.exp(-1j * shift * t_values * span)[:, None]
-    drifts = np.abs(np.linalg.norm(y, axis=1) - 1.0)
-    worst = float(np.max(drifts))
-    if worst > NORM_DRIFT_LIMIT:
-        raise EvolutionFailure(
-            f"norm drift {worst:.3e} exceeds {NORM_DRIFT_LIMIT:.1e}; integration untrusted",
-            {"norm_drift": worst, "steps_taken": steps, "rejected_steps": rejected},
-        )
-    return BatchEvolutionResult(y, drifts, steps, rejected)
-
-
-def evolve_dop54(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) -> EvolutionResult:
-    """Adaptive Dormand-Prince 5(4) with PI step control; a reference oracle.
-
-    ``rtol``/``atol`` bound each step's embedded error estimate and
-    ``max_steps`` caps step attempts.
-    """
-    psi = _check_normalized(psi0, path.dim)
-    if cfg.t_total == 0.0:
-        return EvolutionResult(psi.copy(), 0.0, 0, 0)
-    return _propagate_dop54(path, np.array([cfg.t_total]), psi, cfg).result(0)
+    y = y * np.exp(-1j * shift * cfg.t_total * span)
+    drift = _trusted(y, {"steps_taken": steps, "rejected_steps": rejected})
+    return EvolutionResult(y, float(drift), steps, rejected)
 
 
 def _rk4_increment(stack, t: float, s: np.ndarray, h: float) -> np.ndarray:
@@ -705,10 +663,5 @@ def evolve_fixed_step(
     for first in range(0, n_steps, _RK4_CHUNK_STEPS):
         n = np.arange(first, min(first + _RK4_CHUNK_STEPS, n_steps))
         y = y + _rk4_increment(stack, cfg.t_total, cfg.s_start + n * h, h) @ y
-    drift = abs(float(np.linalg.norm(y)) - 1.0)
-    if not drift <= NORM_DRIFT_LIMIT:  # also a NaN state
-        raise EvolutionFailure(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.1e}; integration untrusted",
-            {"norm_drift": drift, "steps_taken": n_steps},
-        )
-    return EvolutionResult(y, drift, n_steps, 0)
+    drift = _trusted(y, {"steps_taken": n_steps})
+    return EvolutionResult(y, float(drift), n_steps, 0)

@@ -1,4 +1,4 @@
-"""Small dense complex linear algebra: Hermitian eigensystems and overlaps.
+"""Small dense complex linear algebra: Hermitian eigensystems.
 
 ``hermitian_eigensystem`` calls LAPACK through ``np.linalg.eigh`` for every
 dimension and then fixes the phases and the order, so two calls on
@@ -56,15 +56,6 @@ def _require_hermitian(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """Inner product <bra|ket>, conjugate-linear in the first argument."""
-    a = np.asarray(bra)
-    b = np.asarray(ket)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 @dataclass(frozen=True)
 class Eigensystem:
     """Sorted, orthonormal, phase-fixed eigensystem of a Hermitian matrix.
@@ -74,10 +65,6 @@ class Eigensystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def vector(self, j: int) -> np.ndarray:
         return self.eigenvectors[:, j]

@@ -28,21 +28,48 @@ def test_zero_time_is_identity():
     assert result.steps_taken == 0
 
 
-def test_constant_diagonal_pure_phase():
+def _count_advance_calls(monkeypatch) -> list:
+    """Record the cell count of every block passed to ``_advance``."""
+    advance = evolution._advance
+    cells = []
+
+    def counting(y, h, *args):
+        cells.append(h.shape[0])
+        return advance(y, h, *args)
+
+    monkeypatch.setattr(evolution, "_advance", counting)
+    return cells
+
+
+def test_constant_diagonal_pure_phase(monkeypatch):
     path = HamiltonianPath(2, (1.0, 2.0), ())
     psi0 = np.array([1.0, 0.0], dtype=complex)
     result = evolve(path, EvolutionConfig(t_total=10.0), psi0)
     assert abs(result.final_state[0] - cmath.exp(-10.0j)) < 1e-9
     assert abs(result.final_state[1]) == 0.0
-    # three levels over about 125 chunks: a common phase per chunk that is
+    # three levels over many blocks: a common phase per block that is
     # dropped, doubled or taken from the wrong level is off by O(1)
     energies = (0.0, 1.0, 2.5)
     path = HamiltonianPath(3, energies, ())
+    blocks = _count_advance_calls(monkeypatch)
     for j, energy in enumerate(energies):
         psi0 = np.eye(3, dtype=complex)[j]
+        blocks.clear()
         result = evolve(path, EvolutionConfig(t_total=4000.0), psi0)
-        assert result.steps_taken >= 100 * evolution._CHUNK_CELLS
+        assert len(blocks) >= 10
         assert np.max(np.abs(result.final_state - cmath.exp(-4000.0j * energy) * psi0)) < 1e-9
+
+
+def test_advance_blocks_are_bounded(monkeypatch):
+    # the mesh yields its accepted cells in blocks of at most two cells per
+    # pair of an equidistribution group, whatever t is
+    path = build(ModelSpec("two-level", k=1e-3))
+    blocks = _count_advance_calls(monkeypatch)
+    cfg = EvolutionConfig(t_total=3e3, rtol=1.5e-13, atol=1e-15)
+    result = evolve(path, cfg, ground_state(path, 0.0))
+    assert sum(blocks) == result.steps_taken
+    assert len(blocks) > 1
+    assert max(blocks) <= 2 * evolution._GROUP_CELLS
 
 
 def test_ground_state_is_basis_vector_at_endpoints():
@@ -313,6 +340,22 @@ def test_fixed_step_non_finite_state_fails():
         evolve_fixed_step(path, EvolutionConfig(t_total=10.0), psi0, step=1e-3)
 
 
+def test_trusted_checks_every_row():
+    limit = evolution.NORM_DRIFT_LIMIT
+    good = np.array([[1.0, 0.0], [0.6, 0.8j], [(1.0 + 0.5 * limit) * 1j, 0.0]])
+    drifts = evolution._trusted(good, {"steps_taken": 7})
+    assert drifts.shape == (3,)
+    assert np.all(drifts <= limit)
+    assert drifts[2] == pytest.approx(0.5 * limit)
+    for bad in ([math.nan, 0.0], [1.0 + 2.0 * limit, 0.0]):
+        y = np.vstack((good, np.array(bad, dtype=complex)))
+        with pytest.raises(EvolutionFailure, match="norm drift") as excinfo:
+            evolution._trusted(y, {"steps_taken": 7, "rejected_steps": 2})
+        assert not excinfo.value.diagnostics["norm_drift"] <= limit
+        assert excinfo.value.diagnostics["steps_taken"] == 7
+        assert excinfo.value.diagnostics["rejected_steps"] == 2
+
+
 def test_tolerance_below_rounding_floor_fails_fast():
     psi0 = ground_state(TWO_LEVEL, 0.0)
     with pytest.raises(EvolutionFailure, match="rounding floor"):
@@ -427,7 +470,7 @@ def test_local_error_estimate_is_calibrated(spec, t, tol):
 @pytest.mark.parametrize("dim", (2, 3))
 def test_advance_matches_dense_cell_product(dim):
     rng = np.random.default_rng(dim)
-    # a chunk of several cells, a chunk of one cell, and a batch holding t=0
+    # a block of several cells, a block of one cell, and a batch holding t=0
     for cells, t_values in (
         (5, np.array([1.0, 40.0, 250.0, 1000.0])),
         (1, np.array([3.0, 700.0])),

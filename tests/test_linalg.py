@@ -8,7 +8,6 @@ from adiasweep.linalg import (
     hermitian_eigensystem,
     hermiticity_defect,
     jacobi_eigensystem,
-    overlap,
 )
 
 from conftest import random_hermitian
@@ -104,26 +103,3 @@ def test_non_hermitian_rejected_with_worst_pair():
     dev, pair = hermiticity_defect(h)
     assert pair in ((0, 1), (1, 0))
     assert dev == pytest.approx(0.5)
-
-
-def test_overlap_examples():
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    assert overlap(e0, e0) == 1.0
-    assert overlap(e0, e1) == 0.0
-    a = np.array([(1 + 1j) / 2, (1 - 1j) / 2])
-    b = np.array([0.6, 0.8j])
-    # direct-summation oracle
-    expected = sum(a[i].conjugate() * b[i] for i in range(2))
-    got = overlap(a, b)
-    assert got == expected
-    assert abs(got - (-0.1 + 0.1j)) < 1e-15
-
-
-def test_overlap_conjugate_linear_in_first_argument(rng):
-    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    z = 0.3 - 0.7j
-    assert overlap(z * a, b) == pytest.approx(z.conjugate() * overlap(a, b))
-    with pytest.raises(ValueError, match="mismatch"):
-        overlap(a, np.array([1.0, 0.0]))

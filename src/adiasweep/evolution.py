@@ -15,7 +15,10 @@ estimates a block of cells serves every member of a batch of total times.  A
 member only adds its own phases exp(-i*t*h*(lambda - lambda_0)), relative to
 each exponential's lowest level, and the real d x d basis changes between
 consecutive eigenbases act on all members' (d, n) coefficients at once; the
-common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.
+common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.  When the
+members after the first are evenly spaced in t, as a ``measure_errors``
+window is, their phases come from a coarse x fine table: about 2*sqrt(n)
+complex exponentials per exponential and level instead of n.
 
 The ODE is linear, so a cell's local error does not depend on the state.
 It is estimated by step doubling at the batch's largest total time: the mesh
@@ -86,6 +89,9 @@ _HALF_SHARE = 1.0 / 30.0
 # and so every block ``_advance`` propagates, holds at most twice as many
 # cells, which bounds the working arrays independently of t.
 _GROUP_CELLS = 128
+# Fewest evenly spaced members after the head of a batch for which
+# ``_Phases`` builds their phases from a coarse x fine table.
+_MIN_GRID = 16
 # Fixed RK4 steps whose transfer matrices are formed and multiplied as one
 # batch; bounds the working arrays independently of the step count.
 _RK4_CHUNK_STEPS = 1024
@@ -371,8 +377,53 @@ class _Mesh:
                 total += need[i]
 
 
-def _advance(y: np.ndarray, h, lam, vec, t_values: np.ndarray) -> np.ndarray:
-    """Apply a block of CF4 cells to the row states y (n, d)."""
+class _Phases:
+    """Builds exp(-i * rates * t) for every member t of ``t_values``, one block of rates at a time.
+
+    If ``t_values[1:]`` holds at least ``_MIN_GRID`` members, each within a
+    few ulps of ``max(t_values)`` of the line through the first and last (a
+    window of ``window_samples`` does), member ``q*fine + j`` of that grid
+    is the product of exponentials at ``t_1 + q*fine*step`` and ``j*step``:
+    with coarse * fine >= n, about 2*sqrt(n) complex exponentials per rate
+    instead of n.  The head member ``t_values[0]`` keeps its own exponential.
+    Any other batch gets one exponential per member, as ``np.exp`` gives it.
+    """
+
+    def __init__(self, t_values: np.ndarray):
+        self.t_values = t_values
+        self.table = None
+        grid = t_values[1:]
+        n = grid.shape[0]
+        if n < _MIN_GRID:
+            return
+        step = (grid[-1] - grid[0]) / (n - 1)
+        off_line = np.max(np.abs(grid - (grid[0] + step * np.arange(n))))
+        if off_line <= 4.0 * np.spacing(np.max(t_values)):
+            fine = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+            coarse = -(-n // fine)
+            self.table = (grid[0] + (fine * step) * np.arange(coarse), step * np.arange(fine))
+
+    def __call__(self, rates: np.ndarray) -> np.ndarray:
+        """Phases of shape rates.shape + (members,)."""
+        t = self.t_values
+        if self.table is None:
+            return np.exp(-1j * (rates[..., None] * t))
+        coarse, fine = self.table
+        out = np.empty(rates.shape + (1 + coarse.shape[0] * fine.shape[0],), dtype=complex)
+        out[..., 0] = np.exp(-1j * (rates * t[0]))
+        np.multiply(
+            np.exp(-1j * (rates[..., None] * coarse))[..., None],
+            np.exp(-1j * (rates[..., None] * fine))[..., None, :],
+            out=out[..., 1:].reshape(rates.shape + (coarse.shape[0], fine.shape[0])),
+        )
+        return out[..., : t.shape[0]]
+
+
+def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
+    """Apply a block of CF4 cells to the row states y (n, d) of the total times ``members.t_values``.
+
+    ``members`` builds every exponential's phases for all members at once.
+    """
     m2 = 2 * h.shape[0]
     dim = y.shape[1]
     lam = lam.reshape(m2, dim)
@@ -380,8 +431,7 @@ def _advance(y: np.ndarray, h, lam, vec, t_values: np.ndarray) -> np.ndarray:
     widths = np.repeat(h, 2)
     # phases[e, level - 1, member] of exponential e in the eigenbasis of its B,
     # relative to its lowest level; the common phase is restored at the end.
-    arg = (widths[:, None] * (lam[:, 1:] - lam[:, :1]))[:, :, None] * t_values
-    phases = np.exp(-1j * arg)
+    phases = members(widths[:, None] * (lam[:, 1:] - lam[:, :1]))
     # Real basis changes V_{e+1}^T V_e act on the float view of the
     # (levels, members) coefficients, whose (re, im) pairs share each entry.
     changes = vec[1:].swapaxes(1, 2) @ vec[:-1]
@@ -390,10 +440,10 @@ def _advance(y: np.ndarray, h, lam, vec, t_values: np.ndarray) -> np.ndarray:
     c_f, out_f, c_up, out_up = c.view(float), out.view(float), c[1:], out[1:]
     for phase, change in zip(phases, changes):
         c_up *= phase
-        np.dot(change, c_f, out=out_f)
+        change.dot(c_f, out=out_f)
         c_f, out_f, c_up, out_up = out_f, c_f, out_up, c_up
     c_up *= phases[-1]
-    common = np.exp(-1j * np.dot(widths, lam[:, 0]) * t_values)
+    common = np.exp(-1j * np.dot(widths, lam[:, 0]) * members.t_values)
     return (vec[-1] @ c_f.view(complex) * common).T
 
 
@@ -408,13 +458,14 @@ def _propagate(
     # t_max = 0 gives an empty mesh and returns psi0 for every member
     mesh = _Mesh(_hamiltonian_stack(path, shift), float(np.max(t_values)), cfg.atol + cfg.rtol)
     y = np.tile(psi0, (t_values.shape[0], 1))
+    members = _Phases(t_values)
     s = cfg.s_start
     steps = 0
     try:
         for h, lam, vec in mesh.window(cfg.s_start, cfg.s_end):
             take = min(h.shape[0], cfg.max_steps - steps)
             if take:
-                y = _advance(y, h[:take], lam[:take], vec[:take], t_values)
+                y = _advance(y, h[:take], lam[:take], vec[:take], members)
                 steps += take
                 s += float(np.sum(h[:take]))
             if take < h.shape[0]:

@@ -127,7 +127,11 @@ def measure_errors(
     te_cfg: TypicalErrorConfig,
     ev_cfg: EvolutionConfig,
 ) -> MeasuredError:
-    """Evolve t plus its whole sample window in one batch and score it."""
+    """Evolve t plus its whole sample window in one batch and score it.
+
+    The window's samples are evenly spaced in t, so the batch's propagator
+    builds their phases from a coarse x fine table (see ``evolution``).
+    """
     psi0 = ground_state(path, ev_cfg.s_start)
     g_end = ground_state(path, ev_cfg.s_end)
     ts = np.concatenate(([t], window_samples(t, te_cfg)))

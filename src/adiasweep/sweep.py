@@ -60,7 +60,9 @@ SCHEMA_VERSION = 1
 # records in the last digits.
 # 7: CF4 blocks are no longer re-chunked, so basis round trips fall at mesh
 # block boundaries, which moves records in the last digits.
-NUMERICS_VERSION = 7
+# 8: window phases come from a coarse x fine table of exponentials, which
+# moves records in the last digits.
+NUMERICS_VERSION = 8
 
 CSV_HEADER = "T,eps,eps_bar_T,eps_bar_1,eps_bar_2,ratio1,ratio2,epsT2,slope,norm_drift"
 

@@ -64,7 +64,7 @@ def test_cache_key_of_a_file_plus_flags_is_pinned(tmp_path):
     assert sweep_cfg.model.energies == (1.5, 0.75, 2.0)
     assert sweep_cfg.estimate_orders == (2, 1, 3)
     assert sweep_cfg.workers == 3
-    assert cache_key(sweep_cfg) == "2c3a39efc03e22db22179a581816a8345b919d59d5aff0f2ad5ed24a9bcfad9a"
+    assert cache_key(sweep_cfg) == "56b71d51437d87380e44094a8d633eff417eaf7363034f5de2f333c933ae7c91"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

@@ -15,7 +15,7 @@ from adiasweep.evolution import (
     ground_state,
 )
 from adiasweep.hamiltonians import Coupling, HamiltonianPath, ModelSpec, build
-from adiasweep.metrics import true_error
+from adiasweep.metrics import TypicalErrorConfig, true_error, window_samples
 from adiasweep.schedules import Schedule
 
 TWO_LEVEL = build(ModelSpec("two-level", k=0.0))
@@ -470,18 +470,25 @@ def test_local_error_estimate_is_calibrated(spec, t, tol):
 @pytest.mark.parametrize("dim", (2, 3))
 def test_advance_matches_dense_cell_product(dim):
     rng = np.random.default_rng(dim)
-    # a block of several cells, a block of one cell, and a batch holding t=0
-    for cells, t_values in (
-        (5, np.array([1.0, 40.0, 250.0, 1000.0])),
-        (1, np.array([3.0, 700.0])),
-        (4, np.array([0.0, 60.0, 900.0])),
+    window = TypicalErrorConfig(samples=48)
+    # a block of several cells, a block of one cell, a batch holding t=0, and
+    # two window batches, whose phases come from the coarse x fine table; a
+    # window's cells are as narrow as the mesh makes them at its t
+    for cells, t_values, h_max in (
+        (5, np.array([1.0, 40.0, 250.0, 1000.0]), 0.02),
+        (1, np.array([3.0, 700.0]), 0.02),
+        (4, np.array([0.0, 60.0, 900.0]), 0.02),
+        (5, np.concatenate(([50.0], window_samples(50.0, window))), 0.02),
+        (5, np.concatenate(([3e4], window_samples(3e4, window))), 1.0 / 3e4),
     ):
+        members = evolution._Phases(t_values)
+        assert (members.table is None) == (t_values.shape[0] < 17)
         b = rng.normal(size=(cells, 2, dim, dim))
         lam, vec = np.linalg.eigh(b + b.swapaxes(-1, -2))
-        h = rng.uniform(0.005, 0.02, size=cells)
+        h = rng.uniform(0.25 * h_max, h_max, size=cells)
         y = rng.normal(size=(t_values.shape[0], dim)) + 1j * rng.normal(size=(t_values.shape[0], dim))
         y /= np.linalg.norm(y, axis=1)[:, None]
-        got = evolution._advance(y, h, lam, vec, t_values)
+        got = evolution._advance(y, h, lam, vec, members)
         for n, t in enumerate(t_values):
             u = np.eye(dim, dtype=complex)
             for c in range(cells):
@@ -489,6 +496,39 @@ def test_advance_matches_dense_cell_product(dim):
                     v = vec[c, e]
                     u = (v * np.exp(-1j * t * h[c] * lam[c, e])) @ v.T @ u
             assert np.max(np.abs(got[n] - u @ y[n])) < 1e-13
+
+
+@pytest.mark.parametrize("samples", (16, 48, 64))
+def test_phase_table_matches_exp(samples):
+    rng = np.random.default_rng(samples)
+    for t in (10.0, 500.0, 3e4):
+        t_values = np.concatenate(([t], window_samples(t, TypicalErrorConfig(samples=samples))))
+        # an exponential's phase per level, t*h*(lambda - lambda_0), stays
+        # below 0.2 on the meshes of the sweeps' tolerances
+        rates = rng.uniform(0.0, 1.0, size=(512, 2)) / t
+        members = evolution._Phases(t_values)
+        assert members.table is not None
+        got = members(rates)
+        want = np.exp(-1j * (rates[..., None] * t_values))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_phases_off_an_even_grid_are_direct_exponentials():
+    rng = np.random.default_rng(7)
+    t = 500.0
+    even = np.concatenate(([t], window_samples(t, TypicalErrorConfig(samples=48))))
+    moved = even.copy()
+    moved[20] += 1e-9 * t
+    rates = rng.uniform(0.0, 4.0, size=(64, 2)) / t
+    for t_values in (
+        np.concatenate(([t], np.sort(rng.uniform(450.0, 550.0, size=48)))),  # irregular
+        np.concatenate(([t], np.linspace(480.0, 520.0, 15))),  # 15 grid members
+        moved,
+    ):
+        members = evolution._Phases(t_values)
+        assert members.table is None
+        assert np.array_equal(members(rates), np.exp(-1j * (rates[..., None] * t_values)))
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import shutil
 import sys
 
@@ -125,12 +126,24 @@ def _settings(args: argparse.Namespace) -> dict:
     return merge_settings(file_values, {k: v for k, v in vars(args).items() if k in KNOWN_KEYS})
 
 
+def _check_paths(out_path: str, cache_dir: str, use_cache: bool) -> None:
+    """Refuses output and cache paths the sweep could not write, before it runs."""
+    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
+        raise ConfigError(f"cannot write {out_path!r}: not a file in an existing directory")
+    existing = os.path.abspath(cache_dir)
+    while not os.path.exists(existing):  # where load_or_run's makedirs would start
+        existing = os.path.dirname(existing)
+    if use_cache and not os.path.isdir(existing):
+        raise ConfigError(f"cache directory {cache_dir!r}: {existing!r} is not a directory")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     settings = _settings(args)
     cfg = sweep_config_from_settings(settings)
     out_path = settings.get("out", "sweep.csv")
     cache_dir = settings.get("cache_dir", DEFAULT_CACHE_DIR)
     use_cache = not settings.get("no_cache", False)
+    _check_paths(out_path, cache_dir, use_cache)
     records = load_or_run(cfg, cache_dir, use_cache)
     if settings.get("format") != "json":
         emit_csv(records, out_path)

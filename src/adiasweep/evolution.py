@@ -43,8 +43,8 @@ Two reference integrators are kept as independent cross-checks, each on a
 single state: ``evolve_dop54`` (adaptive embedded Dormand-Prince 5(4) with a
 PI step controller, whose truncation drift grows like 0.1 * t * rtol) and
 ``evolve_fixed_step`` (classic RK4 at a fixed step).  DOP5(4) assembles H
-at one scalar s at a time, apart from the vectorized assembly that CF4 and
-RK4 share, so a fault in that assembly still shows in the cross-check.
+at one scalar s at a time, apart from ``HamiltonianPath.evaluate`` that CF4
+and RK4 share, so a fault in that assembly still shows in the cross-check.
 All three integrators trust a final state only if its norm has drifted by
 at most ``NORM_DRIFT_LIMIT``.
 
@@ -206,27 +206,8 @@ def _trusted(y: np.ndarray, diagnostics: dict) -> np.ndarray:
 
 
 def fast_value(sched: Schedule):
-    """The evaluator the CF4 propagator calls on arrays of s (a tracing hook)."""
+    """``sched.value``; uncalled here, kept for the benchmark tracer that patches it."""
     return sched.value
-
-
-def _hamiltonian_stack(path: HamiltonianPath, shift: float):
-    """Vectorized s -> H(s) - shift*I: an array of s gives real (..., d, d) stacks."""
-    dim = path.dim
-    diag = np.array(path.diagonal, dtype=float) - shift
-    idx = np.arange(dim)
-    entries = tuple((c.i, c.j, c.amplitude, fast_value(c.schedule)) for c in path.couplings)
-
-    def stack(s: np.ndarray) -> np.ndarray:
-        out = np.zeros(s.shape + (dim, dim))
-        out[..., idx, idx] = diag
-        for i, j, amp, value in entries:
-            v = amp * value(s)
-            out[..., i, j] = v
-            out[..., j, i] = v
-        return out
-
-    return stack
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,6 +232,7 @@ class _Mesh:
     blocks ``(h, lam, vec)``: widths (m,), and the eigenvalues (m, 2, d) and
     eigenvectors (m, 2, d, d) of each cell's two exponent matrices.
     ``estimated`` counts every half cell whose error was estimated.
+    ``stack`` maps an array of s to the stack of H(s) - c*I, as ``path.evaluate``.
     """
 
     def __init__(self, stack, t_max: float, tol: float):
@@ -456,7 +438,7 @@ def _propagate(
     span = cfg.s_end - cfg.s_start
     shift = path.diagonal_mean()
     # t_max = 0 gives an empty mesh and returns psi0 for every member
-    mesh = _Mesh(_hamiltonian_stack(path, shift), float(np.max(t_values)), cfg.atol + cfg.rtol)
+    mesh = _Mesh(lambda s: path.evaluate(s, shift), float(np.max(t_values)), cfg.atol + cfg.rtol)
     y = np.tile(psi0, (t_values.shape[0], 1))
     members = _Phases(t_values)
     s = cfg.s_start
@@ -663,14 +645,14 @@ def evolve_dop54(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) 
     return EvolutionResult(y, float(drift), steps, rejected)
 
 
-def _rk4_increment(stack, t: float, s: np.ndarray, h: float) -> np.ndarray:
+def _rk4_increment(path: HamiltonianPath, t: float, s: np.ndarray, h: float) -> np.ndarray:
     """D with I + D the product of the RK4 steps of width h from each s, later steps on the left.
 
     For y' = A(s) y one step is y -> (I + D_n) y.  Steps are merged pairwise
     as (I + B)(I + A) = I + (A + B + B @ A): carrying only the increment keeps
     the rounding of the identity out of the product.
     """
-    a = (-1j * t) * stack(np.stack((s, s + 0.5 * h, s + h), axis=1))
+    a = (-1j * t) * path.evaluate(np.stack((s, s + 0.5 * h, s + h), axis=1))
     a0, am, a1 = a[:, 0], a[:, 1], a[:, 2]
     k2 = am + (0.5 * h) * _mul(am, a0)
     k3 = am + (0.5 * h) * _mul(am, k2)
@@ -709,10 +691,9 @@ def evolve_fixed_step(
         )
     n_steps = max(1, math.ceil(span / step))
     h = span / n_steps
-    stack = _hamiltonian_stack(path, 0.0)
     y = psi.copy()
     for first in range(0, n_steps, _RK4_CHUNK_STEPS):
         n = np.arange(first, min(first + _RK4_CHUNK_STEPS, n_steps))
-        y = y + _rk4_increment(stack, cfg.t_total, cfg.s_start + n * h, h) @ y
+        y = y + _rk4_increment(path, cfg.t_total, cfg.s_start + n * h, h) @ y
     drift = _trusted(y, {"steps_taken": n_steps})
     return EvolutionResult(y, float(drift), n_steps, 0)

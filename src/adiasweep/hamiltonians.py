@@ -5,6 +5,10 @@ E_ij * schedule(s) on entries (i, j) and (j, i).  All builtin models have
 real couplings that vanish at s = 0 and s = 1, so the endpoint Hamiltonians
 are diagonal and the endpoint eigenstates are basis vectors.
 
+``HamiltonianPath.evaluate`` is the one assembly of H(s) - shift*I, for a
+float s or an array of s, that ground states, the endpoint estimates and the
+CF4 and RK4 propagators share.
+
 Builtin models
 --------------
 two-level          [[0, E1*f], [E1*f, E0]] with the smoothed parabola f
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,32 +57,27 @@ class HamiltonianPath:
             if not 0 <= c.i < c.j < self.dim:
                 raise ValueError(f"coupling indices ({c.i},{c.j}) out of range")
 
-    @cached_property
-    def _template(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[np.diag_indices(self.dim)] = self.diagonal
-        m.flags.writeable = False
-        return m
-
-    def evaluate(self, s: float) -> np.ndarray:
-        """H(s), Hermitian by construction."""
-        m = self._template.copy()
+    def _assemble(self, shape: tuple, diagonal, coupling) -> np.ndarray:
+        """Real symmetric shape + (d, d) stack: ``diagonal`` plus amplitude * coupling(schedule)."""
+        out = np.zeros(shape + (self.dim, self.dim))
+        idx = np.arange(self.dim)
+        out[..., idx, idx] = diagonal
         for c in self.couplings:
-            v = c.amplitude * c.schedule.value(s)
-            m[c.i, c.j] = v
-            m[c.j, c.i] = v
-        return m
+            v = c.amplitude * coupling(c.schedule)
+            out[..., c.i, c.j] = v
+            out[..., c.j, c.i] = v
+        return out
+
+    def evaluate(self, s, shift: float = 0.0) -> np.ndarray:
+        """H(s) - shift*I, real symmetric: (d, d) for a float s, s.shape + (d, d) for an array."""
+        diagonal = np.array(self.diagonal, dtype=float) - shift
+        return self._assemble(np.shape(s), diagonal, lambda sched: sched.value(s))
 
     def endpoint_deriv(self, endpoint: int, order: int) -> np.ndarray:
         """d^order H/ds^order at s=endpoint; order 0 recovers H itself."""
         if order == 0:
             return self.evaluate(float(endpoint))
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for c in self.couplings:
-            v = c.amplitude * c.schedule.endpoint_deriv(endpoint, order)
-            m[c.i, c.j] = v
-            m[c.j, c.i] = v
-        return m
+        return self._assemble((), 0.0, lambda sched: sched.endpoint_deriv(endpoint, order))
 
     def diagonal_mean(self) -> float:
         return float(sum(self.diagonal) / self.dim)

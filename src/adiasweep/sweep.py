@@ -106,12 +106,14 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("t_min", "t_max", "rtol", "atol", "s_start", "s_end"):
+        for name in ("t_min", "t_max"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.t_min <= 0.0 or self.t_max < self.t_min:
             raise ValueError(f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
+        # Tolerances, window and step cap are checked here, before any work.
+        self.evolution_config(self.t_min)
         if self.points_per_decade < 1:
             raise ValueError("points_per_decade must be >= 1")
         if self.t_min < 10.0 * math.sqrt(self.typical.tau0):

@@ -179,6 +179,38 @@ def test_sweep_rejects_non_finite_input(flags, monkeypatch, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def _forbid_run_sweep(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("rejected input must not reach the sweep")
+
+    monkeypatch.setattr(sweep, "run_sweep", no_run)
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", ""], ids=["missing-directory", "directory"])
+def test_sweep_rejects_unwritable_output_path(out, tmp_path, monkeypatch, capsys):
+    _forbid_run_sweep(monkeypatch)
+    argv = SMALL_SWEEP + ["--out", str(tmp_path / out), "--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "not a file in an existing directory" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+def test_sweep_rejects_cache_dir_that_is_a_file(below, tmp_path, monkeypatch, capsys):
+    _forbid_run_sweep(monkeypatch)
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory\n")
+    cache_dir = blocker / below if below else blocker
+    argv = SMALL_SWEEP + ["--out", str(tmp_path / "x.csv"), "--cache-dir", str(cache_dir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "is not a directory" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flags, file_text",
     [
@@ -190,10 +222,15 @@ def test_sweep_rejects_non_finite_input(flags, monkeypatch, capsys):
         ([], "format = xml\n"),
         ([], "prefactor = bogus\n"),
         ([], "orders = 0\n"),
+        (["--rtol", "0"], ""),
+        (["--atol=-1e-12"], ""),
+        (["--s-start", "0.9", "--s-end", "0.1"], ""),
+        ([], "max_steps = 0\n"),
     ],
     ids=[
         "k", "samples", "model", "reduction", "prefactor",
         "file-format", "file-prefactor", "file-orders",
+        "rtol-zero", "atol-negative", "inverted-window", "file-max-steps",
     ],
 )
 def test_sweep_rejects_malformed_values(flags, file_text, tmp_path, monkeypatch, capsys):

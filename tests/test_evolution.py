@@ -379,9 +379,8 @@ def test_tolerance_above_rounding_floor_is_met():
     assert result.norm_drift < 1e-12
     # the same mesh, re-estimated pair by pair, meets the tolerance
     tol = cfg.atol + cfg.rtol
-    mesh = evolution._Mesh(
-        evolution._hamiltonian_stack(TWO_LEVEL, TWO_LEVEL.diagonal_mean()), cfg.t_total, tol
-    )
+    shift = TWO_LEVEL.diagonal_mean()
+    mesh = evolution._Mesh(lambda s: TWO_LEVEL.evaluate(s, shift), cfg.t_total, tol)
     widths = np.concatenate([block[0] for block in mesh.window(0.0, 1.0)])
     assert widths.shape[0] == result.steps_taken
     err = mesh._estimate(np.concatenate(([0.0], np.cumsum(widths)))[::2])[0]
@@ -445,7 +444,7 @@ def _cf4_reference(path, shift, t, a, b, substeps=64):
 def test_local_error_estimate_is_calibrated(spec, t, tol):
     path = build(spec)
     shift = path.diagonal_mean()
-    mesh = evolution._Mesh(evolution._hamiltonian_stack(path, shift), t, tol)
+    mesh = evolution._Mesh(lambda s: path.evaluate(s, shift), t, tol)
     widths = np.concatenate([block[0] for block in mesh.window(0.0, 1.0)])
     pair_edges = np.concatenate(([0.0], np.cumsum(widths)))[::2]
     n = pair_edges.shape[0] - 1

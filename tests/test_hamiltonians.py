@@ -163,6 +163,24 @@ def test_zero_amplitude_couplings_dropped():
     assert pairs == {(0, 1), (1, 2)}
 
 
+@pytest.mark.parametrize("model", ["two-level", "two-level-exp", "three-level-case1", "three-level-case2"])
+def test_one_assembly_for_a_float_or_an_array_of_s(model):
+    # The propagators evaluate arrays of s, ground states and the endpoint
+    # walk single floats; both must give the same matrices bit for bit.
+    path = build(ModelSpec(model, k=1e-3))
+    s_list = [0.0, 0.3, 0.5, 1.0]
+    for shift in (0.0, path.diagonal_mean()):
+        stack = path.evaluate(np.array(s_list), shift)
+        assert stack.shape == (len(s_list), path.dim, path.dim) and stack.dtype == np.float64
+        for i, s in enumerate(s_list):
+            single = path.evaluate(s, shift)
+            assert single.shape == (path.dim, path.dim) and single.dtype == np.float64
+            assert stack[i].tobytes() == single.tobytes()
+            assert np.array_equal(single, single.T)
+    for e in (0, 1):
+        assert path.endpoint_deriv(e, 0).tobytes() == path.evaluate(float(e)).tobytes()
+
+
 def test_evolution_window():
     assert ModelSpec("two-level", k=1e-3).evolution_window() == (0.0, 1.0)
     lo, hi = ModelSpec("two-level-exp", k=1e-3).evolution_window()

@@ -58,6 +58,16 @@ def test_config_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 small_config(**{field: bad})
+    # Checked when the config is made, not when the first point propagates.
+    for overrides, message in (
+        (dict(rtol=0.0), "positive"),
+        (dict(atol=-1e-12), "positive"),
+        (dict(s_start=0.9, s_end=0.1), "invalid window"),
+        (dict(s_end=1.5), "invalid window"),
+        (dict(max_steps=0), "max_steps"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
 
 
 def test_cache_key_stability():

@@ -126,14 +126,21 @@ def _settings(args: argparse.Namespace) -> dict:
     return merge_settings(file_values, {k: v for k, v in vars(args).items() if k in KNOWN_KEYS})
 
 
-def _check_paths(out_path: str, cache_dir: str, use_cache: bool) -> None:
-    """Refuses output and cache paths the sweep could not write, before it runs."""
-    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
+def _check_paths(out_path: str | None, cache_dir: str | None) -> None:
+    """Refuses an output file or cache directory that could not be written, before any work.
+
+    ``None`` skips that check.
+    """
+    if out_path is not None and (
+        os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(os.path.abspath(out_path)))
+    ):
         raise ConfigError(f"cannot write {out_path!r}: not a file in an existing directory")
+    if cache_dir is None:
+        return
     existing = os.path.abspath(cache_dir)
     while not os.path.exists(existing):  # where load_or_run's makedirs would start
         existing = os.path.dirname(existing)
-    if use_cache and not os.path.isdir(existing):
+    if not os.path.isdir(existing):
         raise ConfigError(f"cache directory {cache_dir!r}: {existing!r} is not a directory")
 
 
@@ -143,7 +150,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_path = settings.get("out", "sweep.csv")
     cache_dir = settings.get("cache_dir", DEFAULT_CACHE_DIR)
     use_cache = not settings.get("no_cache", False)
-    _check_paths(out_path, cache_dir, use_cache)
+    _check_paths(out_path, cache_dir if use_cache else None)
     records = load_or_run(cfg, cache_dir, use_cache)
     if settings.get("format") != "json":
         emit_csv(records, out_path)
@@ -191,6 +198,7 @@ def _cmd_schedule_dump(args: argparse.Namespace) -> int:
         raise ConfigError(f"--k must be finite and >= 0, got {args.k}")
     if args.points < 2:
         raise ConfigError("need at least 2 sample points")
+    _check_paths(args.out, None)
     if args.family == "parabola" or args.k == 0.0:
         sched = Parabola()
     elif args.family == "rational":
@@ -218,6 +226,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         unknown = [n for n in numbers if n not in acceptance.CRITERIA]
         if unknown:
             raise ConfigError(f"unknown criterion numbers {unknown}")
+    _check_paths(None, None if args.no_cache else args.cache_dir)
     results = acceptance.run_all(
         cache_dir=args.cache_dir, use_cache=not args.no_cache, numbers=numbers
     )

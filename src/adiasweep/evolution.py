@@ -20,6 +20,20 @@ members after the first are evenly spaced in t, as a ``measure_errors``
 window is, their phases come from a coarse x fine table: about 2*sqrt(n)
 complex exponentials per exponential and level instead of n.
 
+Every builtin path is mirror-symmetric, H(1-s) = H(s), as
+``HamiltonianPath.mirror_symmetric`` derives from its schedules.  On such a
+path and a window with s_start + s_end = 1 the mesh is built, and the chain
+run, over the first half only, on the d columns of the identity: the chain
+yields each member's propagator U over that half.  Mirroring a cell about
+s = 1/2 swaps its two Gauss nodes and so the order of its two exponentials,
+each of which is complex symmetric; the mirrored cell therefore propagates
+by the transpose of the original cell's propagator, and the mirrored mesh of
+the second half by U^T.  The final state is U^T U psi0, with no
+approximation beyond that of the mirrored mesh.  Any other path or window is
+propagated whole, on the single column psi0.  Either way ``steps_taken``,
+``rejected_steps`` and the ``max_steps`` cap count the cells of the
+propagated part only.
+
 The ODE is linear, so a cell's local error does not depend on the state.
 It is estimated by step doubling at the batch's largest total time: the mesh
 is built from pairs of cells, the two halves of each pair are propagated,
@@ -30,10 +44,9 @@ propagators).  How that sum splits between the halves is not known from
 the pair alone, so the contract is per pair: the pairs are equidistributed
 until each pair's summed local error is within ``2 * (atol + rtol)``, i.e.
 its two cells' mean is within ``atol + rtol``.  One batched ``eigh`` of six
-exponents thus checks two propagated cells.  ``max_steps`` caps the number of
-cells.  The mesh is built left to right and each block of accepted cells is
-propagated as it comes; a block holds at most ``2 * _GROUP_CELLS`` cells, so
-memory does not grow with t.
+exponents thus checks two propagated cells.  The mesh is built left to
+right and each block of accepted cells is propagated as it comes; a block
+holds at most ``2 * _GROUP_CELLS`` cells, so memory does not grow with t.
 
 The propagation runs on H(s) - c*I with c the mean diagonal energy; the
 global phase exp(-i*c*t_total*(s_end-s_start)) is restored on the final
@@ -130,8 +143,11 @@ class EvolutionConfig:
     For ``evolve``/``evolve_many``, ``atol + rtol`` bounds the mean local
     error of the two cells of each step-doubling pair (their sum is within
     ``2 * (atol + rtol)``; one cell may take more than its half) and
-    ``max_steps`` caps the number of cells; for ``evolve_dop54`` they keep
-    their per-step Dormand-Prince meaning.  The CF4 estimate resolves
+    ``max_steps`` caps the number of propagated cells: on a mirror-symmetric
+    path and window (see the module docstring) only the first half's cells
+    are propagated, and the second half's, their mirror images, are not
+    counted.  For ``evolve_dop54`` they keep their per-step Dormand-Prince
+    meaning over the whole window.  The CF4 estimate resolves
     tolerances down to about 1e-16 (two levels) to 3e-16 (three levels);
     below its rounding floor, near 5e-17 and 1.5e-16, the propagation raises
     ``EvolutionFailure`` as soon as refinement stops lowering the estimate.
@@ -402,31 +418,34 @@ class _Phases:
 
 
 def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
-    """Apply a block of CF4 cells to the row states y (n, d) of the total times ``members.t_values``.
+    """Apply a block of CF4 cells to the blocks y (n, d, k) of the total times ``members.t_values``.
 
-    ``members`` builds every exponential's phases for all members at once.
+    Each member's block holds k column states.  ``members`` builds every
+    exponential's phases for all members at once.
     """
     m2 = 2 * h.shape[0]
-    dim = y.shape[1]
+    n, dim, k = y.shape
     lam = lam.reshape(m2, dim)
     vec = vec.reshape(m2, dim, dim)
     widths = np.repeat(h, 2)
-    # phases[e, level - 1, member] of exponential e in the eigenbasis of its B,
-    # relative to its lowest level; the common phase is restored at the end.
-    phases = members(widths[:, None] * (lam[:, 1:] - lam[:, :1]))
+    # phases[e, level - 1, member, 0] of exponential e in the eigenbasis of
+    # its B, relative to its lowest level; the common phase is restored at the end.
+    phases = members(widths[:, None] * (lam[:, 1:] - lam[:, :1]))[..., None]
     # Real basis changes V_{e+1}^T V_e act on the float view of the
-    # (levels, members) coefficients, whose (re, im) pairs share each entry.
+    # (levels, members * columns) coefficients, whose (re, im) pairs share each entry.
     changes = vec[1:].swapaxes(1, 2) @ vec[:-1]
-    c = vec[0].T @ y.T
+    c = vec[0].T @ y.transpose(1, 0, 2).reshape(dim, n * k)
     out = np.empty_like(c)
-    c_f, out_f, c_up, out_up = c.view(float), out.view(float), c[1:], out[1:]
+    c_f, out_f = c.view(float), out.view(float)
+    c_up, out_up = c[1:].reshape(dim - 1, n, k), out[1:].reshape(dim - 1, n, k)
     for phase, change in zip(phases, changes):
         c_up *= phase
         change.dot(c_f, out=out_f)
         c_f, out_f, c_up, out_up = out_f, c_f, out_up, c_up
     c_up *= phases[-1]
     common = np.exp(-1j * np.dot(widths, lam[:, 0]) * members.t_values)
-    return (vec[-1] @ c_f.view(complex) * common).T
+    y = (vec[-1] @ c_f.view(complex)).reshape(dim, n, k) * common[:, None]
+    return y.transpose(1, 0, 2)
 
 
 def _propagate(
@@ -437,14 +456,22 @@ def _propagate(
 ) -> BatchEvolutionResult:
     span = cfg.s_end - cfg.s_start
     shift = path.diagonal_mean()
+    n, dim = t_values.shape[0], path.dim
+    mirror = path.mirror_symmetric() and cfg.s_start + cfg.s_end == 1.0
+    if mirror:
+        # the chain yields each member's U over the first half
+        hi = 0.5
+        y = np.tile(np.eye(dim, dtype=complex), (n, 1, 1))
+    else:
+        hi = cfg.s_end
+        y = np.tile(psi0, (n, 1))[..., None]
     # t_max = 0 gives an empty mesh and returns psi0 for every member
     mesh = _Mesh(lambda s: path.evaluate(s, shift), float(np.max(t_values)), cfg.atol + cfg.rtol)
-    y = np.tile(psi0, (t_values.shape[0], 1))
     members = _Phases(t_values)
     s = cfg.s_start
     steps = 0
     try:
-        for h, lam, vec in mesh.window(cfg.s_start, cfg.s_end):
+        for h, lam, vec in mesh.window(cfg.s_start, hi):
             take = min(h.shape[0], cfg.max_steps - steps)
             if take:
                 y = _advance(y, h[:take], lam[:take], vec[:take], members)
@@ -458,7 +485,10 @@ def _propagate(
         )
         raise
 
-    y *= np.exp(-1j * shift * t_values * span)[:, None]
+    if mirror:
+        # the mirrored second half propagates by U^T
+        y = y.swapaxes(1, 2) @ (y @ psi0[:, None])
+    y = y[..., 0] * np.exp(-1j * shift * t_values * span)[:, None]
     rejected = mesh.estimated - steps
     drifts = _trusted(y, {"steps_taken": steps, "rejected_steps": rejected})
     return BatchEvolutionResult(y, drifts, steps, rejected)

@@ -3,7 +3,10 @@
 A ``HamiltonianPath`` is H(s) = diag(d) + sum over couplings (i < j) of
 E_ij * schedule(s) on entries (i, j) and (j, i).  All builtin models have
 real couplings that vanish at s = 0 and s = 1, so the endpoint Hamiltonians
-are diagonal and the endpoint eigenstates are basis vectors.
+are diagonal and the endpoint eigenstates are basis vectors.  Every builtin
+path is also mirror-symmetric, H(1-s) = H(s): the paper changes both
+endpoints the same way, and ``HamiltonianPath.mirror_symmetric`` derives
+this from the schedules.
 
 ``HamiltonianPath.evaluate`` is the one assembly of H(s) - shift*I, for a
 float s or an array of s, that ground states, the endpoint estimates and the
@@ -78,6 +81,14 @@ class HamiltonianPath:
         if order == 0:
             return self.evaluate(float(endpoint))
         return self._assemble((), 0.0, lambda sched: sched.endpoint_deriv(endpoint, order))
+
+    def mirror_symmetric(self) -> bool:
+        """True only if H(1-s) = H(s) holds by construction.
+
+        The diagonal is constant and the amplitudes are real, so the path is
+        symmetric when every coupling's schedule is.
+        """
+        return all(c.schedule.mirror_symmetric() for c in self.couplings)
 
     def diagonal_mean(self) -> float:
         return float(sum(self.diagonal) / self.dim)

@@ -24,12 +24,19 @@ scale*(1 - k/(u+k)), whose series is geometric; the exponential pulse
 applies the exp recurrence to the jet of -k/u; a product is the truncated
 Cauchy product of its factors' jets.  Endpoint derivatives of any order are
 read off the jets.
+
+``mirror_symmetric()`` says whether f(1-s) = f(s) follows from the
+schedule's structure: the parabola, a constant and the exponential pulse are
+symmetric, a ramp only when k = 0, and a product when its factors map onto
+one another under s -> 1-s.  The base class answers False, so a schedule
+nothing is known about is never taken to be symmetric.  Every builtin pulse
+is symmetric, which lets the propagator cover half of a mirrored window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +87,10 @@ class Schedule:
         _check_order(order)
         return math.factorial(order) * self.taylor(float(endpoint), order)[order]
 
+    def mirror_symmetric(self) -> bool:
+        """True only if f(1-s) = f(s) holds by construction."""
+        return False
+
 
 @dataclass(frozen=True)
 class Constant(Schedule):
@@ -94,6 +105,9 @@ class Constant(Schedule):
         _check_order(order)
         return [self.c] + [0.0] * order
 
+    def mirror_symmetric(self) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class Parabola(Schedule):
@@ -107,6 +121,9 @@ class Parabola(Schedule):
         s = _check_s(s)
         _check_order(order)
         return ([s * (1.0 - s), 1.0 - 2.0 * s, -1.0] + [0.0] * order)[: order + 1]
+
+    def mirror_symmetric(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -161,6 +178,9 @@ class PowerRamp(Schedule):
             out = _cauchy(out, g)
         return out
 
+    def mirror_symmetric(self) -> bool:
+        return self.k == 0.0
+
 
 @dataclass(frozen=True)
 class ExponentialPulse(Schedule):
@@ -206,6 +226,9 @@ class ExponentialPulse(Schedule):
         _check_order(order)
         return 0.0
 
+    def mirror_symmetric(self) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class Product(Schedule):
@@ -228,6 +251,21 @@ class Product(Schedule):
         for f in self.factors[1:]:
             out = _cauchy(out, f.taylor(s, order))
         return out
+
+    def mirror_symmetric(self) -> bool:
+        """Each ramp pairs with its reflected twin; every other factor is symmetric itself."""
+        unpaired: list[PowerRamp] = []
+        for f in self.factors:
+            if f.mirror_symmetric():
+                continue
+            if not isinstance(f, PowerRamp):
+                return False
+            twin = replace(f, reflected=not f.reflected)
+            if twin in unpaired:
+                unpaired.remove(twin)
+            else:
+                unpaired.append(f)
+        return not unpaired
 
 
 PREFACTOR_MODES = ("midpoint-normalized", "as-printed")

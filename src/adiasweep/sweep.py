@@ -62,7 +62,9 @@ SCHEMA_VERSION = 1
 # block boundaries, which moves records in the last digits.
 # 8: window phases come from a coarse x fine table of exponentials, which
 # moves records in the last digits.
-NUMERICS_VERSION = 8
+# 9: a mirror-symmetric path and window propagate the first half only and
+# finish with the transpose, which moves records by up to about 1e-8 relative.
+NUMERICS_VERSION = 9
 
 CSV_HEADER = "T,eps,eps_bar_T,eps_bar_1,eps_bar_2,ratio1,ratio2,epsT2,slope,norm_drift"
 

@@ -64,7 +64,7 @@ def test_cache_key_of_a_file_plus_flags_is_pinned(tmp_path):
     assert sweep_cfg.model.energies == (1.5, 0.75, 2.0)
     assert sweep_cfg.estimate_orders == (2, 1, 3)
     assert sweep_cfg.workers == 3
-    assert cache_key(sweep_cfg) == "56b71d51437d87380e44094a8d633eff417eaf7363034f5de2f333c933ae7c91"
+    assert cache_key(sweep_cfg) == "a9256553db83ea87da35283595919c0dc28b496a505d809aeb64c307165bfc1e"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -390,6 +390,27 @@ def test_schedule_dump_rejects_too_few_points(tmp_path, monkeypatch, capsys):
     assert main(["schedule-dump", "--points", "1", "--out", str(out)]) == 1
     assert "at least 2 sample points" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", ""], ids=["missing-directory", "directory"])
+def test_schedule_dump_rejects_unwritable_output_path(out, tmp_path, capsys):
+    assert main(["schedule-dump", "--points", "5", "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "not a file in an existing directory" in err
+    assert "Traceback" not in err
+
+
+def test_check_rejects_cache_dir_under_a_file(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an unusable cache directory must not run the suite")
+
+    monkeypatch.setattr(acceptance, "run_all", no_run)
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory\n")
+    assert main(["check", "--only", "6", "--cache-dir", str(blocker / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "is not a directory" in err
+    assert "Traceback" not in err
 
 
 def test_check_single_fast_criterion(tmp_path, capsys):

@@ -47,17 +47,18 @@ def test_constant_diagonal_pure_phase(monkeypatch):
     result = evolve(path, EvolutionConfig(t_total=10.0), psi0)
     assert abs(result.final_state[0] - cmath.exp(-10.0j)) < 1e-9
     assert abs(result.final_state[1]) == 0.0
-    # three levels over many blocks: a common phase per block that is
-    # dropped, doubled or taken from the wrong level is off by O(1)
+    # three levels over many blocks of the propagated half window: a common
+    # phase per block that is dropped, doubled or taken from the wrong level
+    # is off by O(1)
     energies = (0.0, 1.0, 2.5)
     path = HamiltonianPath(3, energies, ())
     blocks = _count_advance_calls(monkeypatch)
     for j, energy in enumerate(energies):
         psi0 = np.eye(3, dtype=complex)[j]
         blocks.clear()
-        result = evolve(path, EvolutionConfig(t_total=4000.0), psi0)
+        result = evolve(path, EvolutionConfig(t_total=8000.0), psi0)
         assert len(blocks) >= 10
-        assert np.max(np.abs(result.final_state - cmath.exp(-4000.0j * energy) * psi0)) < 1e-9
+        assert np.max(np.abs(result.final_state - cmath.exp(-8000.0j * energy) * psi0)) < 1e-9
 
 
 def test_advance_blocks_are_bounded(monkeypatch):
@@ -377,11 +378,12 @@ def test_tolerance_above_rounding_floor_is_met():
     psi0 = ground_state(TWO_LEVEL, 0.0)
     result = evolve(TWO_LEVEL, cfg, psi0)
     assert result.norm_drift < 1e-12
-    # the same mesh, re-estimated pair by pair, meets the tolerance
+    # the same mesh of the propagated half, re-estimated pair by pair, meets
+    # the tolerance
     tol = cfg.atol + cfg.rtol
     shift = TWO_LEVEL.diagonal_mean()
     mesh = evolution._Mesh(lambda s: TWO_LEVEL.evaluate(s, shift), cfg.t_total, tol)
-    widths = np.concatenate([block[0] for block in mesh.window(0.0, 1.0)])
+    widths = np.concatenate([block[0] for block in mesh.window(0.0, 0.5)])
     assert widths.shape[0] == result.steps_taken
     err = mesh._estimate(np.concatenate(([0.0], np.cumsum(widths)))[::2])[0]
     assert np.max(err) <= tol
@@ -466,6 +468,16 @@ def test_local_error_estimate_is_calibrated(spec, t, tol):
     assert 0.8 <= float(np.median(ratios)) <= 1.25
 
 
+def _dense_cells(h, lam, vec, t):
+    """Product of the cells (h, lam, vec) at total time t, one exponential at a time."""
+    u = np.eye(vec.shape[-1], dtype=complex)
+    for c in range(h.shape[0]):
+        for e in range(2):  # the first exponential of a cell acts first
+            v = vec[c, e]
+            u = (v * np.exp(-1j * t * h[c] * lam[c, e])) @ v.T @ u
+    return u
+
+
 @pytest.mark.parametrize("dim", (2, 3))
 def test_advance_matches_dense_cell_product(dim):
     rng = np.random.default_rng(dim)
@@ -485,16 +497,76 @@ def test_advance_matches_dense_cell_product(dim):
         b = rng.normal(size=(cells, 2, dim, dim))
         lam, vec = np.linalg.eigh(b + b.swapaxes(-1, -2))
         h = rng.uniform(0.25 * h_max, h_max, size=cells)
-        y = rng.normal(size=(t_values.shape[0], dim)) + 1j * rng.normal(size=(t_values.shape[0], dim))
-        y /= np.linalg.norm(y, axis=1)[:, None]
-        got = evolution._advance(y, h, lam, vec, members)
-        for n, t in enumerate(t_values):
-            u = np.eye(dim, dtype=complex)
-            for c in range(cells):
-                for e in range(2):  # the first exponential of a cell acts first
-                    v = vec[c, e]
-                    u = (v * np.exp(-1j * t * h[c] * lam[c, e])) @ v.T @ u
-            assert np.max(np.abs(got[n] - u @ y[n])) < 1e-13
+        n = t_values.shape[0]
+        # identity blocks, as on a mirror-symmetric window, give the propagators
+        eye = np.tile(np.eye(dim, dtype=complex), (n, 1, 1))
+        got = evolution._advance(eye, h, lam, vec, members)
+        assert got.shape == (n, dim, dim)
+        for i, t in enumerate(t_values):
+            assert np.max(np.abs(got[i] - _dense_cells(h, lam, vec, t))) < 1e-13
+    # single-column blocks, as on any other window
+    y = rng.normal(size=(n, dim, 1)) + 1j * rng.normal(size=(n, dim, 1))
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    got = evolution._advance(y, h, lam, vec, members)
+    assert got.shape == (n, dim, 1)
+    for i, t in enumerate(t_values):
+        assert np.max(np.abs(got[i] - _dense_cells(h, lam, vec, t) @ y[i])) < 1e-13
+
+
+def _undeclared(path):
+    """The same path with every schedule behind a subclass that declares no symmetry."""
+
+    class Undeclared(Schedule):
+        def __init__(self, inner):
+            self.value = inner.value
+
+    couplings = tuple(
+        Coupling(c.i, c.j, c.amplitude, Undeclared(c.schedule)) for c in path.couplings
+    )
+    return HamiltonianPath(path.dim, path.diagonal, couplings)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.model)
+def test_mirrored_cells_propagate_by_the_transpose(spec):
+    # CF4 cells on [0, 1/2] and their mirror images on [1/2, 1], in reverse
+    # order: the second product is the transpose of the first
+    path = build(spec)
+    assert path.mirror_symmetric()
+    shift = path.diagonal_mean()
+    rng = np.random.default_rng(3)
+    edges = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, size=24))))
+    edges *= 0.5 / edges[-1]
+    t = 300.0
+    first = second = np.eye(path.dim, dtype=complex)
+    for a, b in zip(edges[:-1], edges[1:]):
+        first = _cf4_reference(path, shift, t, a, b, substeps=1) @ first
+        second = second @ _cf4_reference(path, shift, t, 1.0 - b, 1.0 - a, substeps=1)
+    assert np.max(np.abs(second - first.T)) < 1e-13
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.model)
+def test_mirror_path_agrees_with_whole_window(spec):
+    path = build(spec)
+    whole = _undeclared(path)
+    assert path.mirror_symmetric() and not whole.mirror_symmetric()
+    lo, hi = spec.evolution_window()
+    psi0 = ground_state(path, lo)
+    g_end = ground_state(path, hi)
+    for t in (50.0, 500.0):
+        cfg = EvolutionConfig(t_total=t, s_start=lo, s_end=hi)
+        mirrored, reference = evolve(path, cfg, psi0), evolve(whole, cfg, psi0)
+        eps = true_error(mirrored.final_state, g_end)
+        assert abs(eps - true_error(reference.final_state, g_end)) < 1e-9
+        assert mirrored.steps_taken <= 0.55 * reference.steps_taken
+
+
+def test_asymmetric_window_takes_the_whole_window():
+    path = build(ModelSpec("two-level", k=1e-3))
+    psi0 = ground_state(path, 0.1)
+    cfg = EvolutionConfig(t_total=200.0, s_start=0.1, s_end=0.95)
+    got, whole = evolve(path, cfg, psi0), evolve(_undeclared(path), cfg, psi0)
+    assert np.array_equal(got.final_state, whole.final_state)
+    assert got.steps_taken == whole.steps_taken
 
 
 @pytest.mark.parametrize("samples", (16, 48, 64))

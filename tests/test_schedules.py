@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from adiasweep.schedules import (
+    PREFACTOR_MODES,
     Constant,
     ExponentialPulse,
     Parabola,
     PowerRamp,
     Product,
+    Schedule,
     rational_pulse,
 )
 from adiasweep.evolution import fast_value
@@ -98,6 +100,38 @@ def test_symmetry():
     for sched in ALL_FAMILIES:
         for s in np.linspace(0.0, 1.0, 41):
             assert abs(sched.value(s) - sched.value(1.0 - s)) < 1e-14
+
+
+class _Undeclared(Parabola):
+    """Symmetric in fact, but an unknown subclass is never taken to be."""
+
+    def mirror_symmetric(self):
+        return Schedule.mirror_symmetric(self)
+
+
+MIRROR_ANSWERS = (
+    *((rational_pulse(1e-3, n, prefactor), True) for n in (1, 2) for prefactor in PREFACTOR_MODES),
+    (rational_pulse(0.0), True),
+    (ExponentialPulse(1e-2), True),
+    (Constant(0.3), True),
+    (PowerRamp(0.0), True),
+    (Product((Parabola(), PowerRamp(1e-3))), False),
+    (Product((Parabola(), PowerRamp(1e-3), PowerRamp(2e-3, reflected=True))), False),
+    (Product((PowerRamp(1e-3, reflected=True), Parabola(), PowerRamp(1e-3))), True),
+    (Product((Parabola(), _Undeclared())), False),
+    (PowerRamp(1e-3), False),
+    (_Undeclared(), False),
+)
+
+
+@pytest.mark.parametrize("sched, symmetric", MIRROR_ANSWERS, ids=repr)
+def test_mirror_symmetric_answers(sched, symmetric):
+    assert sched.mirror_symmetric() is symmetric
+    if symmetric:
+        # dyadic s, so 1 - s is exact and only the evaluation order differs
+        s = np.arange(1025) / 1024.0
+        value, mirrored = sched.value(s), sched.value(1.0 - s)
+        assert np.all(np.abs(mirrored - value) <= 1e-15 * np.abs(value))
 
 
 def test_exponential_midpoint_value():

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
-    elapsed: float
+    elapsed: float = 0.0  # set by run_all
 
 
 class AcceptanceContext:
@@ -89,7 +89,6 @@ class AcceptanceContext:
 
 def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
     """Analytic estimator values for the three reference models."""
-    t0 = time.time()
     b1_two = switching_estimate(build(ModelSpec("two-level", k=0.0)), 1).coefficient
     b1_case1 = switching_estimate(build(ModelSpec("three-level-case1", k=0.0)), 1).coefficient
     b1_case2 = switching_estimate(build(ModelSpec("three-level-case2", k=1e-3)), 1).coefficient
@@ -101,12 +100,11 @@ def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
         f"case1 b1={b1_case1:.15f} (dev {dev_case1:.2e}), "
         f"case2 b1={b1_case2!r} (must be exactly 0)"
     )
-    return CriterionResult(1, "analytic estimator values", passed, details, time.time() - t0)
+    return CriterionResult(1, "analytic estimator values", passed, details)
 
 
 def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
     """Unsmoothed two-level: measured eps_bar * t inside 5% of sqrt(2)."""
-    t0 = time.time()
     spec = ModelSpec("two-level", k=0.0)
     te = TypicalErrorConfig(tau0=1.0, samples=64, reduction="rms")
     values = []
@@ -117,12 +115,11 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
         values.append(f"t={t:g}: {scaled:.4f}")
         ok = ok and SQRT2 * 0.95 <= scaled <= SQRT2 * 1.05
     details = f"eps_bar*t in [{SQRT2*0.95:.4f}, {SQRT2*1.05:.4f}]: " + ", ".join(values)
-    return CriterionResult(2, "leading-order scaling (k=0)", ok, details, time.time() - t0)
+    return CriterionResult(2, "leading-order scaling (k=0)", ok, details)
 
 
 def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
     """Crossover shape at k=1e-3: order-1 wins at t=50, order-2 at t=3e4."""
-    t0 = time.time()
     spec = ModelSpec("two-level", k=1e-3)
     path = build(spec)
     b1 = switching_estimate(build(spec.base()), 1).coefficient
@@ -143,7 +140,7 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
         f"t=50: |r1-1|={dev1_small:.3f} < |r2-1|={dev2_small:.3f}; "
         f"t=3e4: |r2-1|={dev2_large:.3f} (<0.25), |r1-1|={dev1_large:.2f} (>0.5)"
     )
-    return CriterionResult(3, "crossover reproduction (k=1e-3)", ok, details, time.time() - t0)
+    return CriterionResult(3, "crossover reproduction (k=1e-3)", ok, details)
 
 
 def _crossover_sweep_config(k: float, t_min: float, t_max: float, rtol: float, atol: float) -> SweepConfig:
@@ -168,7 +165,6 @@ CROSSOVER_SWEEPS = {
 
 def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
     """Crossover time scales like 1/k between k=1e-2 and k=1e-3."""
-    t0 = time.time()
     crossings = {}
     for k, cfg in CROSSOVER_SWEEPS.items():
         records = ctx.sweep(f"c4 k={k:g}", cfg)
@@ -182,7 +178,7 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
         f"t_cross(k=1e-2)={crossings[1e-2]}, t_cross(k=1e-3)={crossings[1e-3]}, "
         f"ratio={ratio:.2f} (need 5..20)"
     )
-    return CriterionResult(4, "crossover scaling with k", ok, details, time.time() - t0)
+    return CriterionResult(4, "crossover scaling with k", ok, details)
 
 
 CASE_COMPARE_GRID = dict(t_min=300.0, t_max=6.5e3, points_per_decade=3)
@@ -200,7 +196,6 @@ def _case_sweep_config(model: str) -> SweepConfig:
 
 def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     """Three-level case 1 vs case 2 agree at the three largest sampled t."""
-    t0 = time.time()
     rec1 = [r for r in ctx.sweep("c5 case1", _case_sweep_config("three-level-case1")) if r.ok]
     rec2 = [r for r in ctx.sweep("c5 case2", _case_sweep_config("three-level-case2")) if r.ok]
     pairs = list(zip(rec1, rec2))[-3:]
@@ -211,7 +206,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
         parts.append(f"t={r1.t:.0f}: {rel:.3f}")
         ok = ok and rel <= 0.25
     details = "relative gap (need <=0.25): " + ", ".join(parts)
-    return CriterionResult(5, "three-level case1 vs case2", ok, details, time.time() - t0)
+    return CriterionResult(5, "three-level case1 vs case2", ok, details)
 
 
 EXPONENTIAL_SWEEP = SweepConfig(
@@ -227,7 +222,6 @@ EXPONENTIAL_SWEEP = SweepConfig(
 
 def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     """Exponential pulse: decay steepens beyond any fixed power of 1/t."""
-    t0 = time.time()
     records = [r for r in ctx.sweep("c6", EXPONENTIAL_SWEEP) if r.ok]
     ts = np.array([r.t for r in records])
     ebar = np.array([r.eps_bar_t for r in records])
@@ -246,18 +240,17 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
         f"last < -3: {steep}; small-t tracking "
         + ", ".join(f"t={t:.0f}: {x:.3f}" for t, x in small)
     )
-    return CriterionResult(6, "exponential pulse decay", ok, details, time.time() - t0)
+    return CriterionResult(6, "exponential pulse decay", ok, details)
 
 
 def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     """Peak-to-average bound eps <= sqrt(2)*eps_bar past the crossover."""
-    t0 = time.time()
     records = [r for r in ctx.sweep("c7", CROSSOVER_SWEEPS[1e-3]) if r.ok]
     ts = np.array([r.t for r in records])
     ratios = np.array([r.ratio2 for r in records])
     t_cross = crossover_time(ts, ratios, CROSSOVER_BAND)
     if t_cross is None:
-        return CriterionResult(7, "sqrt(2) bound", False, "no crossover found", time.time() - t0)
+        return CriterionResult(7, "sqrt(2) bound", False, "no crossover found")
     checked = [r for r in records if r.t >= t_cross]
     failures = [r.t for r in checked if not sqrt2_bound_check(r.eps, r.eps_bar_t)]
     ok = not failures and len(checked) >= 3
@@ -265,12 +258,11 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
         f"t_cross={t_cross:g}, {len(checked)} points checked"
         + (f", violations at t={failures}" if failures else ", no violations")
     )
-    return CriterionResult(7, "sqrt(2) bound past crossover", ok, details, time.time() - t0)
+    return CriterionResult(7, "sqrt(2) bound past crossover", ok, details)
 
 
 def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     """Numerics hygiene: drift, integrator cross-check, eigensolver, tau0."""
-    t0 = time.time()
     problems = []
 
     # (b) propagator and DOP5(4) oracle vs the fixed-step RK4 reference at t=50
@@ -322,7 +314,7 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
         f"eigensolver dev {eig_dev:.2e}, tau0 dev {tau_dev:.4f}"
         + ("; PROBLEMS: " + "; ".join(problems) if problems else "")
     )
-    return CriterionResult(8, "numerics hygiene", ok, details, time.time() - t0)
+    return CriterionResult(8, "numerics hygiene", ok, details)
 
 
 CRITERIA = {
@@ -352,7 +344,9 @@ def run_all(
     picked = sorted(set(numbers)) if numbers else sorted(CRITERIA)
     results = []
     for n in picked:
+        start = time.perf_counter()
         result = CRITERIA[n](ctx)
+        result = replace(result, elapsed=time.perf_counter() - start)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         printer(f"{status}  {result.number}. {result.name} [{result.elapsed:.1f}s] -- {result.details}")

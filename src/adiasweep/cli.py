@@ -7,6 +7,9 @@ Subcommands:
     schedule-dump  write (s, value, deriv1) samples of a pulse family
     check          run the acceptance suite
 
+sweep and estimate take every key of ``config.PARSERS`` as a flag and read
+one ``SweepConfig``; their estimates are taken at the ends of its window.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
 
@@ -22,19 +25,17 @@ import sys
 from . import acceptance
 from .config import (
     KNOWN_KEYS,
-    OUTPUT_FORMATS,
+    PARSERS,
     ConfigError,
     merge_settings,
-    model_spec_from_settings,
     parse_config_file,
     sweep_config_from_settings,
 )
 from .evolution import EvolutionFailure
-from .hamiltonians import MODEL_NAMES, ModelSpec, build
-from .metrics import REDUCTIONS, DegenerateGapError, reference_scaling_estimate, switching_estimate
+from .hamiltonians import ModelSpec, build
+from .metrics import DegenerateGapError, reference_scaling_estimate, switching_estimate
 from .schedules import PREFACTOR_MODES, ExponentialPulse, Parabola, PowerRamp, rational_pulse
 from .sweep import (
-    SweepConfig,
     cache_path,
     emit_csv,
     emit_json,
@@ -53,18 +54,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-# The sweep and estimate flags whose dest is a settings key take no type= or
-# choices=: their strings go through the parsers of config-file values
-# (config.PARSERS).  schedule-dump reads no settings, so argparse types its flags.
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help=" | ".join(MODEL_NAMES))
-    parser.add_argument("--k", help="endpoint smoothing scale")
-    for name in ("k1", "k2", "k3"):
-        parser.add_argument(f"--{name}", help="per-coupling smoothing override")
-    parser.add_argument("--n", help="smoothing order")
-    for name in ("E0", "E1", "E2", "E3"):
-        parser.add_argument(f"--{name}", help=f"energy parameter {name}")
-    parser.add_argument("--prefactor", help=" | ".join(PREFACTOR_MODES))
+# Every settings key is a flag of sweep and estimate, spelled --<key> with - for
+# _ except for the grid keys below.  The flags take no type= or choices=: their
+# strings go through the parsers of config-file values (config.PARSERS).
+# schedule-dump and check read no settings, so argparse types their flags.
+_FLAG_SPELLINGS = {"t_min": "--tmin", "t_max": "--tmax", "points_per_decade": "--ppd"}
+
+
+def _add_settings_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="flat key=value config file")
+    for key, parse in PARSERS.items():
+        flag = _FLAG_SPELLINGS.get(key, "--" + key.replace("_", "-"))
+        if key == "no_cache":
+            parser.add_argument(flag, dest=key, action="store_true", default=None)
+        else:
+            names = getattr(parse, "names", None)
+            parser.add_argument(flag, dest=key, help=names and " | ".join(names))
 
 
 # Built once per process: the tree depends only on module constants, and
@@ -77,29 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="run a total-time sweep")
-    sweep.add_argument("--config", help="flat key=value config file")
-    _add_model_flags(sweep)
-    sweep.add_argument("--tmin", dest="t_min")
-    sweep.add_argument("--tmax", dest="t_max")
-    sweep.add_argument("--ppd", dest="points_per_decade", help="grid points per decade")
-    sweep.add_argument("--tau0", help="averaging window scale")
-    sweep.add_argument("--samples", help="window samples per grid point")
-    sweep.add_argument("--reduction", help=" | ".join(REDUCTIONS))
-    sweep.add_argument("--rtol")
-    sweep.add_argument("--atol")
-    sweep.add_argument("--s-start", dest="s_start")
-    sweep.add_argument("--s-end", dest="s_end")
-    sweep.add_argument("--workers")
-    sweep.add_argument("--out", help="output file path (default sweep.csv)")
-    sweep.add_argument("--format", help=" | ".join(OUTPUT_FORMATS) + " (default csv)")
-    sweep.add_argument("--cache-dir", dest="cache_dir")
-    sweep.add_argument("--no-cache", action="store_true", default=None, dest="no_cache")
-
-    est = sub.add_parser("estimate", help="print the switching-estimate table")
-    est.add_argument("--config", help="flat key=value config file")
-    _add_model_flags(est)
-    est.add_argument("--orders", help="comma-separated estimate orders")
+    _add_settings_flags(sub.add_parser("sweep", help="run a total-time sweep"))
+    _add_settings_flags(sub.add_parser("estimate", help="print the switching-estimate table"))
 
     dump = sub.add_parser("schedule-dump", help="write (s, value, deriv1) samples")
     dump.add_argument(
@@ -168,22 +152,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    spec = model_spec_from_settings(settings)
-    # A dataclass field's default is also its class attribute.
-    orders = settings.get("orders", SweepConfig.estimate_orders)
+    cfg = sweep_config_from_settings(_settings(args))
+    spec, window = cfg.model, cfg.window()
     path = build(spec)
     print(f"model={spec.model} k={spec.k:g} order={spec.order} energies={spec.energy_values()}")
     print(f"{'n':>3} {'b_n(start)':>14} {'b_n(end)':>14} {'b_n':>14}")
-    for order in orders:
-        est = switching_estimate(path, order)
+    for order in cfg.estimate_orders:
+        est = switching_estimate(path, order, window)
         print(
             f"{order:>3} {est.start_coefficient:>14.6e} {est.end_coefficient:>14.6e} "
             f"{est.coefficient:>14.6e}"
         )
     if has_reference_shortcut(spec):
-        ref = reference_scaling_estimate(build(spec.base()), spec.k, spec.order)
-        measured = switching_estimate(path, ref.error_order).coefficient
+        ref = reference_scaling_estimate(build(spec.base()), spec.k, spec.order, window)
+        measured = switching_estimate(path, ref.error_order, window).coefficient
         print(
             f"approximate order-{ref.error_order} reference: "
             f"sqrt-prefactor {ref.sqrt_prefactor_coefficient:.6e}, "

@@ -2,8 +2,10 @@
 
 Files hold one ``key = value`` pair per line; blank lines and ``#`` comments
 are ignored.  CLI flags override file values.  ``PARSERS`` maps every key to
-the function that reads its text; a key that is set nowhere takes the default
-of ``ModelSpec``, ``TypicalErrorConfig`` or ``SweepConfig``.
+the function that reads its text, and it is the one list of keys: each key is
+also a flag of ``adiasweep sweep`` and ``adiasweep estimate``.  A key that is
+set nowhere takes the default of ``ModelSpec``, ``TypicalErrorConfig`` or
+``SweepConfig``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ class ConfigError(ValueError):
 
 
 def _choice(names: tuple[str, ...]):
+    """Parser of one of ``names``; ``parse.names`` lists them for the CLI's help."""
+
     def parse(value: str) -> str:
         if value not in names:
             raise ValueError(f"choose from {', '.join(names)}")
         return value
 
+    parse.names = names
     return parse
 
 

@@ -76,8 +76,8 @@ class HamiltonianPath:
         diagonal = np.array(self.diagonal, dtype=float) - shift
         return self._assemble(np.shape(s), diagonal, lambda sched: sched.value(s))
 
-    def endpoint_deriv(self, endpoint: int, order: int) -> np.ndarray:
-        """d^order H/ds^order at s=endpoint; order 0 recovers H itself."""
+    def endpoint_deriv(self, endpoint: float, order: int) -> np.ndarray:
+        """d^order H/ds^order at s=endpoint, a window end; order 0 recovers H itself."""
         if order == 0:
             return self.evaluate(float(endpoint))
         return self._assemble((), 0.0, lambda sched: sched.endpoint_deriv(endpoint, order))

@@ -20,14 +20,16 @@ kept for window-integral diagnostics.
 
 ``switching_estimate`` evaluates the asymptotic coefficient
 
-    b_n = sqrt( sum_{j>0} |<j|d^nH/ds^n|g>|^2 / gap_j^(2n+2)  at s=0
-              + the same at s=1 )
+    b_n = sqrt( sum_{j>0} |<j|d^nH/ds^n|g>|^2 / gap_j^(2n+2)  at s=s_start
+              + the same at s=s_end )
 
-from endpoint eigensystems and endpoint derivatives, giving the estimator
-curve b_n / t^n.  ``reference_scaling_estimate`` provides the commonly used
-shortcut that treats an order-n endpoint ramp on scale k as a bare
-(n!/k^n) rescaling of the first derivative.  Both are built from one walk
-over the endpoints, ``_endpoint_terms``.
+from the eigensystems and derivatives at the two ends of the evolution
+window, giving the estimator curve b_n / t^n.  The window defaults to
+[0, 1]; a sweep passes the window it evolves over.
+``reference_scaling_estimate`` provides the commonly used shortcut that
+treats an order-n endpoint ramp on scale k as a bare (n!/k^n) rescaling of
+the first derivative.  Both are built from one walk over the window's ends,
+``_endpoint_terms``.
 """
 
 from __future__ import annotations
@@ -168,24 +170,23 @@ class SwitchingEstimate:
 
 
 def _endpoint_terms(
-    path: HamiltonianPath, deriv_order: int, power: int
+    path: HamiltonianPath, deriv_order: int, power: int, window: tuple[float, float] = (0.0, 1.0)
 ) -> tuple[tuple[LevelTerm, ...], tuple[LevelTerm, ...]]:
-    """Level terms <j|d^m H/ds^m|g> / gap_j**power at s=0 and at s=1.
+    """Level terms <j|d^m H/ds^m|g> / gap_j**power at both ends of ``window``.
 
-    Returns one tuple per endpoint, excited levels in ascending order.  A
-    vanishing endpoint gap makes every estimate singular and raises
+    Returns one tuple per end, excited levels in ascending order; a term's
+    ``endpoint`` is 0 at the window's start and 1 at its end.  A vanishing
+    gap at either end makes every estimate singular and raises
     DegenerateGapError.
     """
     per_endpoint = []
-    for endpoint in (0, 1):
-        eig = hermitian_eigensystem(path.evaluate(float(endpoint)))
+    for endpoint, s in enumerate(window):
+        eig = hermitian_eigensystem(path.evaluate(float(s)))
         scale = max(1.0, float(np.max(np.abs(eig.eigenvalues))))
         gaps = eig.gaps()
         if np.any(gaps < _GAP_FLOOR * scale):
-            raise DegenerateGapError(
-                f"vanishing gap at endpoint {endpoint}: gaps {gaps.tolist()}"
-            )
-        h_m = path.endpoint_deriv(endpoint, deriv_order)
+            raise DegenerateGapError(f"vanishing gap at s={s!r}: gaps {gaps.tolist()}")
+        h_m = path.endpoint_deriv(s, deriv_order)
         g = eig.ground
         terms = []
         for j in range(1, path.dim):
@@ -205,15 +206,17 @@ def _norm(terms: tuple[LevelTerm, ...]) -> float:
     return math.sqrt(total)
 
 
-def switching_estimate(path: HamiltonianPath, order: int) -> SwitchingEstimate:
-    """Evaluate the order-n asymptotic coefficient from endpoint data.
+def switching_estimate(
+    path: HamiltonianPath, order: int, window: tuple[float, float] = (0.0, 1.0)
+) -> SwitchingEstimate:
+    """Evaluate the order-n asymptotic coefficient at the ends of ``window``.
 
-    Requires a non-degenerate ground level at both endpoints; a vanishing
-    gap makes the estimate singular and raises DegenerateGapError.
+    Requires a non-degenerate ground level at both ends; a vanishing gap
+    makes the estimate singular and raises DegenerateGapError.
     """
     if order < 1:
         raise ValueError(f"estimate order must be >= 1, got {order}")
-    start, end = _endpoint_terms(path, order, order + 1)
+    start, end = _endpoint_terms(path, order, order + 1, window)
     b0, b1 = _norm(start), _norm(end)
     return SwitchingEstimate(order, b0, b1, math.hypot(b0, b1), start + end)
 
@@ -239,19 +242,20 @@ class ReferenceScalingEstimate:
 
 
 def reference_scaling_estimate(
-    path_base: HamiltonianPath, k: float, n: int
+    path_base: HamiltonianPath, k: float, n: int, window: tuple[float, float] = (0.0, 1.0)
 ) -> ReferenceScalingEstimate:
     """Approximate order-(n+1) coefficient for ramp-smoothed versions of a path.
 
-    ``path_base`` is the unsmoothed path (nonzero first endpoint derivative);
-    n = 0 means no smoothing and reduces to the exact first-order estimate.
+    ``path_base`` is the unsmoothed path (nonzero first endpoint derivative),
+    evaluated at the ends of ``window``; n = 0 means no smoothing and reduces
+    to the exact first-order estimate.
     """
     if n < 0:
         raise ValueError(f"ramp order must be >= 0, got {n}")
     if n > 0 and k <= 0.0:
         raise ValueError("a positive k is required for ramp order n >= 1")
     error_order = n + 1
-    start, end = _endpoint_terms(path_base, 1, error_order + 1)
+    start, end = _endpoint_terms(path_base, 1, error_order + 1, window)
     bracket = _norm(start + end)
     boost = math.factorial(n) / k**n if n > 0 else 1.0
     return ReferenceScalingEstimate(

@@ -22,8 +22,8 @@ truncated Taylor jet [f(s), f'(s), f''(s)/2!, ..., f^(order)(s)/order!] as
 a list of floats, exact up to rounding at any order: a ramp is
 scale*(1 - k/(u+k)), whose series is geometric; the exponential pulse
 applies the exp recurrence to the jet of -k/u; a product is the truncated
-Cauchy product of its factors' jets.  Endpoint derivatives of any order are
-read off the jets.
+Cauchy product of its factors' jets.  Derivatives of any order at the ends
+of an evolution window, [0, 1] or a part of it, are read off the jets.
 
 ``mirror_symmetric()`` says whether f(1-s) = f(s) follows from the
 schedule's structure: the parabola, a constant and the exponential pulse are
@@ -80,10 +80,10 @@ class Schedule:
         """[f(s), f'(s), f''(s)/2!, ..., f^(order)(s)/order!]."""
         raise NotImplementedError
 
-    def endpoint_deriv(self, endpoint: int, order: int) -> float:
-        """d^order/ds^order at s=endpoint (0 or 1)."""
-        if endpoint not in (0, 1):
-            raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
+    def endpoint_deriv(self, endpoint: float, order: int) -> float:
+        """d^order/ds^order at s=endpoint, either end of a window in [0, 1]."""
+        if not 0.0 <= endpoint <= 1.0:
+            raise ValueError(f"endpoint must lie in [0, 1], got {endpoint!r}")
         _check_order(order)
         return math.factorial(order) * self.taylor(float(endpoint), order)[order]
 
@@ -220,11 +220,13 @@ class ExponentialPulse(Schedule):
             damp.append(sum([i * w[i] * damp[j - i] for i in range(1, j + 1)]) / j)
         return _cauchy(u, damp)
 
-    def endpoint_deriv(self, endpoint: int, order: int) -> float:
-        if endpoint not in (0, 1):
-            raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
-        _check_order(order)
-        return 0.0
+    def endpoint_deriv(self, endpoint: float, order: int) -> float:
+        """The jets' value, as in ``Schedule``.
+
+        The override only gives perfbench's tracer a method of this class to
+        patch through ``ExponentialPulse.__dict__``.
+        """
+        return super().endpoint_deriv(endpoint, order)
 
     def mirror_symmetric(self) -> bool:
         return True

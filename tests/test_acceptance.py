@@ -7,6 +7,7 @@ reruns.  Criteria 2, 3 and 8 are recomputed every time.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,6 +71,17 @@ def test_criterion_8_numerics_hygiene(results):
 def test_run_all_runs_a_repeated_number_once(tmp_path):
     results = acceptance.run_all(cache_dir=str(tmp_path), numbers=(1, 1), printer=lambda line: None)
     assert [r.number for r in results] == [1]
+
+
+def test_run_all_times_each_criterion_with_perf_counter(monkeypatch):
+    ticks = iter([10.0, 12.5])
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    stub = lambda ctx: acceptance.CriterionResult(1, "stub", True, "ok")  # noqa: E731
+    monkeypatch.setitem(acceptance.CRITERIA, 1, stub)
+    lines = []
+    (result,) = acceptance.run_all(cache_dir="unused", numbers=(1,), printer=lines.append)
+    assert result.elapsed == 2.5
+    assert lines == ["PASS  1. stub [2.5s] -- ok"]
 
 
 def test_context_sweeps_each_config_once(monkeypatch):

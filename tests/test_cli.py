@@ -5,6 +5,7 @@ import pytest
 from adiasweep import acceptance, cli, sweep
 from adiasweep.cli import main
 from adiasweep.config import (
+    PARSERS,
     ConfigError,
     merge_settings,
     parse_config_file,
@@ -64,7 +65,7 @@ def test_cache_key_of_a_file_plus_flags_is_pinned(tmp_path):
     assert sweep_cfg.model.energies == (1.5, 0.75, 2.0)
     assert sweep_cfg.estimate_orders == (2, 1, 3)
     assert sweep_cfg.workers == 3
-    assert cache_key(sweep_cfg) == "a9256553db83ea87da35283595919c0dc28b496a505d809aeb64c307165bfc1e"
+    assert cache_key(sweep_cfg) == "130c92571613d3eae08f65c821e4631fe3654d512acc994e887c37ce04b9a061"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -79,6 +80,43 @@ def test_config_file_rejects_bad_value(tmp_path):
     cfg.write_text("model = two-level\nk = abc\n")
     with pytest.raises(ConfigError, match="invalid value"):
         merge_settings(parse_config_file(str(cfg)), {})
+
+
+# A value for every settings key, other than its default.
+KEY_TEXTS = {
+    "model": "three-level-case2", "k": "2e-3", "k1": "1e-3", "k2": "3e-3", "k3": "4e-3",
+    "E0": "0.5", "E1": "1.5", "E2": "0.75", "E3": "2", "n": "2", "prefactor": "as-printed",
+    "t_min": "40", "t_max": "900", "tau0": "2", "rtol": "1e-9", "atol": "1e-11",
+    "s_start": "0.125", "s_end": "0.875", "points_per_decade": "5", "samples": "24",
+    "max_steps": "12345", "workers": "3", "reduction": "mean", "orders": "1,3",
+    "out": "x.csv", "format": "json", "cache_dir": "elsewhere", "no_cache": "true",
+}
+GRID_FLAGS = {"t_min": "--tmin", "t_max": "--tmax", "points_per_decade": "--ppd"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "estimate"])
+@pytest.mark.parametrize("key", sorted(PARSERS))
+def test_every_key_is_a_flag_of_sweep_and_estimate(command, key, tmp_path):
+    # The flag and the same text in a config file give the same settings.
+    assert set(KEY_TEXTS) == set(PARSERS)
+    text = KEY_TEXTS[key]
+    flag = GRID_FLAGS.get(key, "--" + key.replace("_", "-"))
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    parse = cli._build_parser().parse_args
+    from_flag = cli._settings(parse([command, flag] + ([] if key == "no_cache" else [text])))
+    from_file = cli._settings(parse([command, "--config", str(cfg)]))
+    assert from_flag == from_file == {key: PARSERS[key](text)}
+
+
+def test_estimate_takes_the_window_of_the_sweep(capsys):
+    argv = ["--model", "two-level", "--k", "1e-2", "--s-start", "0.2", "--orders", "2"]
+    assert main(["estimate"] + argv) == 0
+    out = capsys.readouterr().out
+    (row,) = [line.split() for line in out.splitlines() if line.startswith("  2 ")]
+    cfg = sweep_config_from_settings(cli._settings(cli._build_parser().parse_args(["sweep"] + argv)))
+    coefficient = sweep.sweep_metadata(cfg)["estimates"]["order-2"]["coefficient"]
+    assert row[3] == f"{coefficient:.6e}"
 
 
 def test_sweep_csv_end_to_end(tmp_path, capsys):

@@ -80,6 +80,52 @@ def test_cache_key_stability():
     assert cache_key(small_config(workers=4)) == cache_key(a)
 
 
+def test_cache_key_covers_every_field():
+    # One changed value per field of the three config dataclasses: each must
+    # move the key, except the worker count, which cannot move the records.
+    # A field added without an entry here fails, so it cannot be left out of
+    # the key and let the cache serve records of another config.
+    base = small_config(model=ModelSpec("three-level-case1", k=1e-3))
+    changed = {
+        (ModelSpec, "model"): "three-level-case2",
+        (ModelSpec, "k"): 2e-3,
+        (ModelSpec, "k1"): 5e-3,
+        (ModelSpec, "k2"): 5e-3,
+        (ModelSpec, "k3"): 5e-3,
+        (ModelSpec, "energies"): (1.0, 2.0, 1.0),
+        (ModelSpec, "order"): 2,
+        (ModelSpec, "prefactor"): "as-printed",
+        (TypicalErrorConfig, "tau0"): 2.0,
+        (TypicalErrorConfig, "samples"): 24,
+        (TypicalErrorConfig, "reduction"): "mean",
+        (SweepConfig, "model"): ModelSpec("two-level"),
+        (SweepConfig, "t_min"): 16.0,
+        (SweepConfig, "t_max"): 30.0,
+        (SweepConfig, "points_per_decade"): 5,
+        (SweepConfig, "typical"): TypicalErrorConfig(samples=32),
+        (SweepConfig, "estimate_orders"): (1, 3),
+        (SweepConfig, "rtol"): 1e-8,
+        (SweepConfig, "atol"): 1e-10,
+        (SweepConfig, "s_start"): 0.125,
+        (SweepConfig, "s_end"): 0.875,
+        (SweepConfig, "max_steps"): 12345,
+        (SweepConfig, "workers"): 3,
+    }
+    for cls in (ModelSpec, TypicalErrorConfig, SweepConfig):
+        for f in dataclasses.fields(cls):
+            assert (cls, f.name) in changed, f"{cls.__name__}.{f.name} has no changed value"
+    for (cls, name), value in changed.items():
+        if cls is ModelSpec:
+            cfg = replace(base, model=replace(base.model, **{name: value}))
+        elif cls is TypicalErrorConfig:
+            cfg = replace(base, typical=replace(base.typical, **{name: value}))
+        else:
+            cfg = replace(base, **{name: value})
+        assert cfg != base
+        same = cache_key(cfg) == cache_key(base)
+        assert same == (name == "workers"), f"{cls.__name__}.{name}"
+
+
 def test_cache_key_ignores_int_versus_float():
     m = ModelSpec("two-level")
     pairs = [
@@ -147,6 +193,27 @@ def test_smoothed_model_small_t_prefers_order1():
         assert abs(r.ratio1 - 1.0) < abs(r.ratio2 - 1.0)
         # eps_bar_1 falls back to the unsmoothed base path
         assert r.eps_bar_1 == pytest.approx(math.sqrt(2.0) / r.t, rel=1e-12)
+
+
+def test_estimates_are_taken_at_the_ends_of_the_window():
+    # On [0.2, 1] the order-1 coefficient is 1.1264, not the sqrt(2) of [0, 1],
+    # and the measured eps_bar * t is 1.137 at t=1000.
+    cfg = small_config(
+        t_min=1000.0,
+        t_max=1000.0,
+        typical=TypicalErrorConfig(samples=64),
+        rtol=1e-12,
+        atol=1e-14,
+        s_start=0.2,
+    )
+    (record,) = run_sweep(cfg)
+    assert record.ok
+    assert abs(record.ratio1 - 1.0) < 0.02
+    # The base path of the exponential model is taken at its clipped ends too,
+    # 2e-6 relative below sqrt(2).
+    est, source = sweep.order1_estimate(small_config(model=ModelSpec("two-level-exp", k=1e-2)))
+    assert source == "base-k0"
+    assert est.coefficient == pytest.approx(1.4142107, rel=1e-7)
 
 
 def test_load_or_run_round_trip(tmp_path):

@@ -7,8 +7,11 @@ Subcommands:
     schedule-dump  write (s, value, deriv1) samples of a pulse family
     check          run the acceptance suite
 
-sweep and estimate take every key of ``config.PARSERS`` as a flag and read
-one ``SweepConfig``; their estimates are taken at the ends of its window.
+sweep and estimate take every key of ``config.PARSERS`` as a flag, spelled
+out in full, and read one ``SweepConfig``.  estimate prints what
+``sweep.estimates`` computes for it, the numbers a JSON report holds; it
+computes everything before it prints, so a numerical failure leaves no
+partial table.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -32,16 +35,12 @@ from .config import (
     sweep_config_from_settings,
 )
 from .evolution import EvolutionFailure
-from .hamiltonians import ModelSpec, build
-from .metrics import DegenerateGapError, reference_scaling_estimate, switching_estimate
+from .hamiltonians import ModelSpec
+from .hamiltonians import build  # uncalled here, kept for the benchmark tracer that patches it
+from .metrics import DegenerateGapError
+from .metrics import reference_scaling_estimate, switching_estimate  # likewise uncalled here
 from .schedules import PREFACTOR_MODES, ExponentialPulse, Parabola, PowerRamp, rational_pulse
-from .sweep import (
-    cache_path,
-    emit_csv,
-    emit_json,
-    has_reference_shortcut,
-    load_or_run,
-)
+from .sweep import cache_path, emit_csv, emit_json, estimates, load_or_run
 
 DEFAULT_CACHE_DIR = ".adiasweep-cache"
 
@@ -82,8 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_settings_flags(sub.add_parser("sweep", help="run a total-time sweep"))
-    _add_settings_flags(sub.add_parser("estimate", help="print the switching-estimate table"))
+    # No abbreviations: each key has exactly one spelling, and a new key
+    # cannot turn a working prefix into an ambiguous one.
+    for name, help_text in (
+        ("sweep", "run a total-time sweep"),
+        ("estimate", "print the switching-estimate table"),
+    ):
+        _add_settings_flags(sub.add_parser(name, help=help_text, allow_abbrev=False))
 
     dump = sub.add_parser("schedule-dump", help="write (s, value, deriv1) samples")
     dump.add_argument(
@@ -153,24 +157,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = sweep_config_from_settings(_settings(args))
-    spec, window = cfg.model, cfg.window()
-    path = build(spec)
+    spec, est = cfg.model, estimates(cfg)
     print(f"model={spec.model} k={spec.k:g} order={spec.order} energies={spec.energy_values()}")
     print(f"{'n':>3} {'b_n(start)':>14} {'b_n(end)':>14} {'b_n':>14}")
     for order in cfg.estimate_orders:
-        est = switching_estimate(path, order, window)
+        b = est.own[order]
         print(
-            f"{order:>3} {est.start_coefficient:>14.6e} {est.end_coefficient:>14.6e} "
-            f"{est.coefficient:>14.6e}"
+            f"{order:>3} {b.start_coefficient:>14.6e} {b.end_coefficient:>14.6e} "
+            f"{b.coefficient:>14.6e}"
         )
-    if has_reference_shortcut(spec):
-        ref = reference_scaling_estimate(build(spec.base()), spec.k, spec.order, window)
-        measured = switching_estimate(path, ref.error_order, window).coefficient
+    ref = est.reference
+    if ref is not None:
         print(
-            f"approximate order-{ref.error_order} reference: "
-            f"sqrt-prefactor {ref.sqrt_prefactor_coefficient:.6e}, "
-            f"substituted {ref.substituted_coefficient:.6e} "
-            f"(exact/substituted = {measured / ref.substituted_coefficient:.6f})"
+            f"approximate order-{ref['error_order']} reference: "
+            f"sqrt-prefactor {ref['sqrt_prefactor_coefficient']:.6e}, "
+            f"substituted {ref['substituted_coefficient']:.6e} "
+            f"(exact/substituted = {ref['exact_to_substituted_ratio']:.6f})"
         )
     return 0
 

@@ -18,23 +18,26 @@ the peak and the rms of a two-phasor superposition).  The plain mean of the
 same signal sits ~10% lower (4/pi vs sqrt(2) for equal amplitudes) and is
 kept for window-integral diagnostics.
 
-``switching_estimate`` evaluates the asymptotic coefficient
+``switching_estimates`` evaluates the asymptotic coefficients
 
     b_n = sqrt( sum_{j>0} |<j|d^nH/ds^n|g>|^2 / gap_j^(2n+2)  at s=s_start
               + the same at s=s_end )
 
-from the eigensystems and derivatives at the two ends of the evolution
-window, giving the estimator curve b_n / t^n.  The window defaults to
+for a list of orders n from one walk over the two ends of the evolution
+window, ``_endpoint_terms``: one eigensystem and one gap check per end
+serve every order.  Each b_n gives the estimator curve b_n / t^n;
+``switching_estimate`` is the one-order case.  The window defaults to
 [0, 1]; a sweep passes the window it evolves over.
-``reference_scaling_estimate`` provides the commonly used shortcut that
-treats an order-n endpoint ramp on scale k as a bare (n!/k^n) rescaling of
-the first derivative.  Both are built from one walk over the window's ends,
-``_endpoint_terms``.
+``reference_from_order1`` provides the commonly used shortcut that treats
+an order-n endpoint ramp on scale k as a bare (n!/k^n) rescaling of the
+first derivative, from the base path's order-1 level terms;
+``reference_scaling_estimate`` walks a base path for it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +158,7 @@ class LevelTerm:
     level: int
     gap: float
     element: complex
-    term: complex  # element / gap**power
+    term: complex  # element / gap**(n+1) for the order n of its estimate
 
 
 @dataclass(frozen=True)
@@ -170,55 +173,71 @@ class SwitchingEstimate:
 
 
 def _endpoint_terms(
-    path: HamiltonianPath, deriv_order: int, power: int, window: tuple[float, float] = (0.0, 1.0)
-) -> tuple[tuple[LevelTerm, ...], tuple[LevelTerm, ...]]:
-    """Level terms <j|d^m H/ds^m|g> / gap_j**power at both ends of ``window``.
+    path: HamiltonianPath, orders: tuple[int, ...], window: tuple[float, float]
+) -> dict[int, tuple[tuple[LevelTerm, ...], tuple[LevelTerm, ...]]]:
+    """Level terms <j|d^n H/ds^n|g> / gap_j**(n+1) at both ends of ``window``.
 
-    Returns one tuple per end, excited levels in ascending order; a term's
-    ``endpoint`` is 0 at the window's start and 1 at its end.  A vanishing
-    gap at either end makes every estimate singular and raises
+    One eigensystem and one gap check per end serve every n in ``orders``.
+    Returns, for each n, one tuple per end, excited levels in ascending
+    order; a term's ``endpoint`` is 0 at the window's start and 1 at its end.
+    A vanishing gap at either end makes every estimate singular and raises
     DegenerateGapError.
     """
-    per_endpoint = []
+    per_order: dict[int, list[tuple[LevelTerm, ...]]] = {n: [] for n in orders}
     for endpoint, s in enumerate(window):
         eig = hermitian_eigensystem(path.evaluate(float(s)))
         scale = max(1.0, float(np.max(np.abs(eig.eigenvalues))))
         gaps = eig.gaps()
         if np.any(gaps < _GAP_FLOOR * scale):
             raise DegenerateGapError(f"vanishing gap at s={s!r}: gaps {gaps.tolist()}")
-        h_m = path.endpoint_deriv(s, deriv_order)
         g = eig.ground
-        terms = []
-        for j in range(1, path.dim):
-            element = complex(np.vdot(eig.vector(j), h_m @ g))
-            term = element / gaps[j - 1] ** power
-            terms.append(LevelTerm(endpoint, j, float(gaps[j - 1]), element, term))
-        per_endpoint.append(tuple(terms))
-    return per_endpoint[0], per_endpoint[1]
+        for n, ends in per_order.items():
+            h_n = path.endpoint_deriv(s, n)
+            terms = []
+            for j in range(1, path.dim):
+                element = complex(np.vdot(eig.vector(j), h_n @ g))
+                term = element / gaps[j - 1] ** (n + 1)
+                terms.append(LevelTerm(endpoint, j, float(gaps[j - 1]), element, term))
+            ends.append(tuple(terms))
+    return {n: (start, end) for n, (start, end) in per_order.items()}
 
 
-def _norm(terms: tuple[LevelTerm, ...]) -> float:
+def _norm(terms: Iterable[complex]) -> float:
     # A plain loop, not sum(): from Python 3.12 sum() compensates float
     # rounding, which would move the coefficients in the last digit.
     total = 0.0
-    for lt in terms:
-        total += abs(lt.term) ** 2
+    for term in terms:
+        total += abs(term) ** 2
     return math.sqrt(total)
+
+
+def switching_estimates(
+    path: HamiltonianPath, orders: tuple[int, ...], window: tuple[float, float] = (0.0, 1.0)
+) -> tuple[SwitchingEstimate, ...]:
+    """The order-n asymptotic coefficient for each n in ``orders``, in that order.
+
+    All orders come from one walk over the ends of ``window``.  Requires a
+    non-degenerate ground level at both ends; a vanishing gap makes the
+    estimates singular and raises DegenerateGapError.
+    """
+    for order in orders:
+        if order < 1:
+            raise ValueError(f"estimate order must be >= 1, got {order}")
+    per_order = _endpoint_terms(path, orders, window)
+    out = []
+    for order in orders:
+        start, end = per_order[order]
+        b0 = _norm(lt.term for lt in start)
+        b1 = _norm(lt.term for lt in end)
+        out.append(SwitchingEstimate(order, b0, b1, math.hypot(b0, b1), start + end))
+    return tuple(out)
 
 
 def switching_estimate(
     path: HamiltonianPath, order: int, window: tuple[float, float] = (0.0, 1.0)
 ) -> SwitchingEstimate:
-    """Evaluate the order-n asymptotic coefficient at the ends of ``window``.
-
-    Requires a non-degenerate ground level at both ends; a vanishing gap
-    makes the estimate singular and raises DegenerateGapError.
-    """
-    if order < 1:
-        raise ValueError(f"estimate order must be >= 1, got {order}")
-    start, end = _endpoint_terms(path, order, order + 1, window)
-    b0, b1 = _norm(start), _norm(end)
-    return SwitchingEstimate(order, b0, b1, math.hypot(b0, b1), start + end)
+    """The order-n asymptotic coefficient at the ends of ``window``."""
+    return switching_estimates(path, (order,), window)[0]
 
 
 @dataclass(frozen=True)
@@ -241,22 +260,22 @@ class ReferenceScalingEstimate:
     substituted_coefficient: float
 
 
-def reference_scaling_estimate(
-    path_base: HamiltonianPath, k: float, n: int, window: tuple[float, float] = (0.0, 1.0)
+def reference_from_order1(
+    base_order1: SwitchingEstimate, k: float, n: int
 ) -> ReferenceScalingEstimate:
-    """Approximate order-(n+1) coefficient for ramp-smoothed versions of a path.
+    """The shortcut coefficient from the base path's order-1 estimate.
 
-    ``path_base`` is the unsmoothed path (nonzero first endpoint derivative),
-    evaluated at the ends of ``window``; n = 0 means no smoothing and reduces
-    to the exact first-order estimate.
+    ``base_order1`` is the unsmoothed path's order-1 estimate; its level
+    terms, taken with the gap powers of the order-(n+1) estimate, give the
+    bracket.  n = 0 means no smoothing and reduces to the exact first-order
+    estimate.
     """
     if n < 0:
         raise ValueError(f"ramp order must be >= 0, got {n}")
     if n > 0 and k <= 0.0:
         raise ValueError("a positive k is required for ramp order n >= 1")
     error_order = n + 1
-    start, end = _endpoint_terms(path_base, 1, error_order + 1, window)
-    bracket = _norm(start + end)
+    bracket = _norm(lt.element / lt.gap ** (error_order + 1) for lt in base_order1.level_terms)
     boost = math.factorial(n) / k**n if n > 0 else 1.0
     return ReferenceScalingEstimate(
         ramp_order=n,
@@ -266,6 +285,17 @@ def reference_scaling_estimate(
         sqrt_prefactor_coefficient=math.sqrt(boost) * bracket,
         substituted_coefficient=boost * bracket,
     )
+
+
+def reference_scaling_estimate(
+    path_base: HamiltonianPath, k: float, n: int, window: tuple[float, float] = (0.0, 1.0)
+) -> ReferenceScalingEstimate:
+    """Approximate order-(n+1) coefficient for ramp-smoothed versions of a path.
+
+    ``path_base`` is the unsmoothed path (nonzero first endpoint derivative),
+    evaluated at the ends of ``window``; see ``reference_from_order1``.
+    """
+    return reference_from_order1(switching_estimate(path_base, 1, window), k, n)
 
 
 def loglog_slope(ts: np.ndarray, values: np.ndarray) -> float:

@@ -3,12 +3,15 @@
 A sweep walks a log-spaced grid of total times t, measures the single-shot
 error and the window-averaged typical error at each t, and tabulates them
 against the order-1 and order-2 switching estimates, taken at the ends of
-the window [s_start, s_end] that the sweep evolves over.  Points are
-independent pure computations, so worker count changes wall time but never
-the records; results are cached keyed by a content hash of the numeric
-config.  The cache
-file is the sweep's JSON report, byte for byte, so a cached JSON request
-copies it and a cached CSV request reads its records.
+the window [s_start, s_end] that the sweep evolves over.  ``estimates`` is
+the one computation of a config's estimates, from one walk over the window's
+ends per path (the model's and, where needed, its unsmoothed base): the
+records, the JSON report (``sweep_metadata``) and ``adiasweep estimate`` all
+read it.  Points are independent pure computations, so worker count changes
+wall time but never the records; results are cached keyed by a content hash
+of the numeric config.  The cache file is the sweep's JSON report, byte for
+byte, so a cached JSON request copies it and a cached CSV request reads its
+records.
 
 CSV schema (one row per grid point):
 
@@ -28,7 +31,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -39,8 +42,10 @@ from .metrics import (
     TypicalErrorConfig,
     loglog_slope,
     measure_errors,
-    reference_scaling_estimate,
+    reference_from_order1,
+    reference_scaling_estimate,  # uncalled here, kept for the benchmark tracer that patches it
     switching_estimate,
+    switching_estimates,
 )
 
 SCHEMA_VERSION = 1
@@ -90,11 +95,6 @@ REFERENCE_SHORTCUT_NOTE = (
     "shortcut values are reference only.  The sqrt-prefactor variant combines "
     "squared per-level magnitudes, matching the exact estimator's structure."
 )
-
-
-def has_reference_shortcut(spec: ModelSpec) -> bool:
-    """Whether the n!/k^n shortcut describes ``spec``: a rational pulse, k > 0."""
-    return spec.k > 0.0 and spec.model != "two-level-exp"
 
 
 @dataclass(frozen=True)
@@ -190,18 +190,53 @@ def t_grid(cfg: SweepConfig) -> list[float]:
     return ts
 
 
-def order1_estimate(cfg: SweepConfig) -> tuple[SwitchingEstimate, str]:
-    """Order-1 estimate at the window's ends, with fallback to the unsmoothed base path.
+@dataclass(frozen=True)
+class Estimates:
+    """A config's switching estimates at the ends of its window.
 
-    Smoothed models have a structurally zero order-1 coefficient; the curve
-    their small-t error actually follows is the base path's, so that is what
-    gets tabulated (the source tag records which path was used).
+    ``own`` holds the model's estimate for each order of ``estimate_orders``,
+    1, 2 and, when there is a reference block, n+1.  ``order1`` is the
+    order-1 estimate the records tabulate and ``source`` the path it comes
+    from: smoothed models have a structurally zero order-1 coefficient, and
+    the curve their small-t error actually follows is the unsmoothed base
+    path's.  ``reference`` is the JSON reference-scaling block, or None where
+    the n!/k^n shortcut does not describe the model (k = 0 or the
+    exponential pulse).
     """
-    window = cfg.window()
-    est = switching_estimate(build(cfg.model), 1, window)
-    if est.coefficient > _ZERO_COEFFICIENT:
-        return est, "model"
-    return switching_estimate(build(cfg.model.base()), 1, window), "base-k0"
+
+    own: dict[int, SwitchingEstimate]
+    order1: SwitchingEstimate
+    source: str
+    reference: dict | None
+
+
+def estimates(cfg: SweepConfig) -> Estimates:
+    """Every estimate of ``cfg``, from one walk over the window's ends per path."""
+    m, window = cfg.model, cfg.window()
+    shortcut = m.k > 0.0 and m.model != "two-level-exp"
+    orders = tuple(sorted({1, 2, *cfg.estimate_orders, *((m.order + 1,) if shortcut else ())}))
+    own = dict(zip(orders, switching_estimates(build(m), orders, window)))
+    fallback = not own[1].coefficient > _ZERO_COEFFICIENT
+    base1 = switching_estimate(build(m.base()), 1, window) if fallback or shortcut else None
+    order1, source = (base1, "base-k0") if fallback else (own[1], "model")
+    reference = None
+    if shortcut:
+        ref = reference_from_order1(base1, m.k, m.order)
+        exact, substituted = own[ref.error_order].coefficient, ref.substituted_coefficient
+        reference = {
+            "label": "approximate",
+            **asdict(ref),
+            # nan when the base path's order-1 terms all vanish (a decoupled ground level)
+            "exact_to_substituted_ratio": exact / substituted if substituted else math.nan,
+            "note": REFERENCE_SHORTCUT_NOTE,
+        }
+    return Estimates(own, order1, source, reference)
+
+
+def order1_estimate(cfg: SweepConfig) -> tuple[SwitchingEstimate, str]:
+    """The order-1 estimate the records tabulate and its source (see ``Estimates``)."""
+    est = estimates(cfg)
+    return est.order1, est.source
 
 
 def compute_sweep_point(
@@ -254,10 +289,8 @@ def _fill_slopes(records: list[SweepRecord]) -> list[SweepRecord]:
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid point, sorted by t; deterministic for a fixed config."""
-    ts = t_grid(cfg)
-    est1, _ = order1_estimate(cfg)
-    est2 = switching_estimate(build(cfg.model), 2, cfg.window())
-    tasks = [(cfg, t, est1.coefficient, est2.coefficient) for t in ts]
+    est = estimates(cfg)
+    tasks = [(cfg, t, est.order1.coefficient, est.own[2].coefficient) for t in t_grid(cfg)]
     if cfg.workers == 1:
         records = [_point_task(task) for task in tasks]
     else:
@@ -424,33 +457,15 @@ def _estimate_to_dict(est: SwitchingEstimate, source: str) -> dict:
 
 
 def sweep_metadata(cfg: SweepConfig) -> dict:
-    """Estimates at the window's ends and approximation notes, echoed into JSON output."""
-    path = build(cfg.model)
-    window = cfg.window()
-    est1, source1 = order1_estimate(cfg)
-    estimates = {"order-1": _estimate_to_dict(est1, source1)}
+    """The estimates of ``cfg`` and their approximation notes, as echoed into JSON output."""
+    est = estimates(cfg)
+    blocks = {"order-1": _estimate_to_dict(est.order1, est.source)}
     for order in sorted(set(cfg.estimate_orders) | {2}):
-        if order == 1:
-            continue
-        estimates[f"order-{order}"] = _estimate_to_dict(
-            switching_estimate(path, order, window), "model"
-        )
-    meta = {"estimates": estimates}
-    m = cfg.model
-    if has_reference_shortcut(m):
-        ref = reference_scaling_estimate(build(m.base()), m.k, m.order, window)
-        exact = switching_estimate(path, ref.error_order, window).coefficient
-        meta["reference_scaling"] = {
-            "label": "approximate",
-            "ramp_order": ref.ramp_order,
-            "error_order": ref.error_order,
-            "k": ref.k,
-            "bracket": ref.bracket,
-            "sqrt_prefactor_coefficient": ref.sqrt_prefactor_coefficient,
-            "substituted_coefficient": ref.substituted_coefficient,
-            "exact_to_substituted_ratio": exact / ref.substituted_coefficient,
-            "note": REFERENCE_SHORTCUT_NOTE,
-        }
+        if order != 1:
+            blocks[f"order-{order}"] = _estimate_to_dict(est.own[order], "model")
+    meta = {"estimates": blocks}
+    if est.reference is not None:
+        meta["reference_scaling"] = est.reference
     return meta
 
 

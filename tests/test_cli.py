@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from adiasweep import acceptance, cli, sweep
+from adiasweep import acceptance, cli, metrics, sweep
 from adiasweep.cli import main
 from adiasweep.config import (
     PARSERS,
@@ -347,6 +347,55 @@ def test_exponential_pulse_has_no_reference_shortcut(capsys):
     assert "reference" not in capsys.readouterr().out
     cfg = sweep_config_from_settings(cli._settings(cli._build_parser().parse_args(["sweep"] + argv)))
     assert "reference_scaling" not in sweep.sweep_metadata(cfg)
+
+
+def test_estimate_prints_nothing_before_a_numerical_failure(capsys):
+    # E0 = 0 is a zero level splitting, so the gap vanishes at s=0 (where the
+    # coupling is off): no model line or table header is printed first.
+    assert main(["estimate", "--model", "two-level", "--E0", "0", "--E1", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: vanishing gap at s=0.0" in captured.err
+
+
+def test_one_endpoint_walk_per_path(monkeypatch, capsys):
+    # Two-level k=1e-2 needs the model path (orders 1, 2, 3) and its base path
+    # (the order-1 fallback and the reference bracket): two ends each.
+    calls = []
+    eigensystem = metrics.hermitian_eigensystem
+    monkeypatch.setattr(metrics, "hermitian_eigensystem", lambda h: calls.append(h) or eigensystem(h))
+    argv = ["--model", "two-level", "--k", "1e-2", "--orders", "1,2,3"]
+    cfg = sweep_config_from_settings(cli._settings(cli._build_parser().parse_args(["sweep"] + argv)))
+    sweep.sweep_metadata(cfg)
+    assert len(calls) == 4
+    calls.clear()
+    assert main(["estimate"] + argv) == 0
+    assert len(calls) == 4
+    assert "approximate order-2 reference" in capsys.readouterr().out
+
+
+TINY_RUN = {"--model": "two-level", "--out": "x.csv", "--tmin": "15", "--tmax": "15", "--samples": "16"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "estimate"])
+@pytest.mark.parametrize("prefix, flag", [("--ou", "--out"), ("--mod", "--model")])
+def test_abbreviated_flags_are_unknown(command, prefix, flag, tmp_path, monkeypatch, capsys):
+    # Each key has one spelling: a prefix of a flag does not stand for it.
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--no-cache"]
+    for name, value in TINY_RUN.items():
+        argv += [prefix if name == flag else name, value]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {prefix} " in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_reference_ratio_is_nan_when_the_shortcut_vanishes(capsys):
+    # E1 = 0 decouples the ground level: every coefficient, the substituted
+    # one included, is 0, and the ratio is undefined rather than a crash.
+    argv = ["--model", "three-level-case1", "--k", "1e-2", "--E1", "0", "--E2", "0", "--E3", "1"]
+    assert main(["estimate"] + argv) == 0
+    assert "(exact/substituted = nan)" in capsys.readouterr().out
 
 
 def _estimate_orders(out):

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adiasweep.hamiltonians import ModelSpec
-from adiasweep.metrics import TypicalErrorConfig
+from adiasweep.hamiltonians import ModelSpec, build
+from adiasweep.metrics import TypicalErrorConfig, switching_estimate
 from adiasweep import sweep
 from adiasweep.sweep import (
     CSV_HEADER,
@@ -214,6 +214,18 @@ def test_estimates_are_taken_at_the_ends_of_the_window():
     est, source = sweep.order1_estimate(small_config(model=ModelSpec("two-level-exp", k=1e-2)))
     assert source == "base-k0"
     assert est.coefficient == pytest.approx(1.4142107, rel=1e-7)
+
+
+@pytest.mark.parametrize("model", ["two-level", "three-level-case1"])
+@pytest.mark.parametrize("window", [{}, {"s_start": 0.2, "s_end": 0.9}])
+def test_estimates_equal_the_one_order_estimate(model, window):
+    # One walk for all orders gives each order exactly what a walk of its own
+    # gives; dataclass equality compares every field, level terms included.
+    cfg = small_config(model=ModelSpec(model, k=1e-2), estimate_orders=(1, 2, 3, 4), **window)
+    path = build(cfg.model)
+    own = sweep.estimates(cfg).own
+    for n in (1, 2, 3, 4):
+        assert own[n] == switching_estimate(path, n, cfg.window())
 
 
 def test_load_or_run_round_trip(tmp_path):

@@ -10,13 +10,21 @@ Criteria 2, 3 and 8 measure single points with ``measure_errors`` and are
 never cached: a warm run still pays for them, mostly criterion 3's long
 point at t=3e4.
 
-Integration tolerances are chosen per criterion: ``atol + rtol`` bounds the
-mean local error of the two propagated cells of each pair, which the
-propagator estimates by step doubling.  Sweeps reaching larger total times run
-proportionally tighter, since the global error sums over a number of cells
-that grows with t.  The propagator is unitary by construction, so the
-norm drift that criterion 8 audits against its 1e-9 budget stays at the
-rounding level (1e-14 to 3e-13).  Criterion 8 also cross-checks the propagator
+Integration tolerances follow one rule.  Every eps_bar a criterion reads is
+held to RECORD_ACCURACY (1e-5) relative, far inside the margins of 1% or more
+that the criteria decide on.  The propagator reads only ``atol + rtol``, and
+``record_tolerances`` sets that sum to RECORD_ACCURACY * floor / 6, where the
+floor is the smallest eps_bar the criterion reads, stated beside it.  The 6 is
+EPS_BAR_ERROR_PER_TOL, the worst absolute eps_bar error per unit of
+``atol + rtol`` measured: 0.9 to 6 against 30x tighter runs at t=3e3 and 3e4,
+and at most 4.3 against 100x tighter runs on every builtin model at the
+criteria's k for t from 50 to 5.6e3.  The law breaks for short, sharp ramps:
+at k=1e-3 below t of about 50 (up to 16 per unit at t=10), where no criterion
+reads.  Criterion 4's k=1e-2 sweep keeps a tighter hand-set
+tolerance (see CROSSOVER_SWEEPS), and criterion 8(b) cross-checks the
+integrators at their defaults.  The propagator is unitary by construction, so
+the norm drift that criterion 8 audits against its 1e-9 budget stays at the
+rounding level (1e-15 to 6e-13).  Criterion 8 also cross-checks the propagator
 and the Dormand-Prince 5(4) oracle against fixed-step RK4.
 """
 
@@ -46,6 +54,20 @@ SQRT2 = math.sqrt(2.0)
 
 # Settling band for the order-2 estimate over the measured typical error.
 CROSSOVER_BAND = (0.8, 1.25)
+
+# Relative accuracy of every eps_bar a criterion reads.
+RECORD_ACCURACY = 1e-5
+# Worst absolute eps_bar error per unit of atol + rtol (see the module docstring).
+EPS_BAR_ERROR_PER_TOL = 6.0
+
+
+def record_tolerances(eps_bar_floor: float) -> dict[str, float]:
+    """``rtol`` and ``atol`` that hold every eps_bar >= eps_bar_floor to RECORD_ACCURACY.
+
+    The propagator reads only their sum; atol takes 1% of it.
+    """
+    tol = RECORD_ACCURACY * eps_bar_floor / EPS_BAR_ERROR_PER_TOL
+    return {"rtol": 0.99 * tol, "atol": 0.01 * tol}
 
 
 @dataclass(frozen=True)
@@ -78,10 +100,11 @@ class AcceptanceContext:
                 self.drift_log.append((f"{label} t={r.t:g}", r.norm_drift))
         return records
 
-    def measure(self, label: str, spec: ModelSpec, t: float, te: TypicalErrorConfig, rtol: float, atol: float):
+    def measure(self, label: str, spec: ModelSpec, t: float, te: TypicalErrorConfig, eps_bar_floor: float):
+        """One point at the tolerances of ``record_tolerances(eps_bar_floor)``."""
         path = build(spec)
         lo, hi = spec.evolution_window()
-        ev = EvolutionConfig(t_total=t, rtol=rtol, atol=atol, s_start=lo, s_end=hi)
+        ev = EvolutionConfig(t_total=t, s_start=lo, s_end=hi, **record_tolerances(eps_bar_floor))
         m = measure_errors(path, t, te, ev)
         self.drift_log.append((f"{label} t={t:g}", m.norm_drift_max))
         return m
@@ -109,8 +132,10 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
     te = TypicalErrorConfig(tau0=1.0, samples=64, reduction="rms")
     values = []
     ok = True
+    # Floor: the smallest eps_bar this criterion passes, at t=1000.
+    floor = SQRT2 * 0.95 / 1000.0
     for t in (200.0, 500.0, 1000.0):
-        m = ctx.measure("c2", spec, t, te, rtol=4e-12, atol=1e-14)
+        m = ctx.measure("c2", spec, t, te, floor)
         scaled = m.typical * t
         values.append(f"t={t:g}: {scaled:.4f}")
         ok = ok and SQRT2 * 0.95 <= scaled <= SQRT2 * 1.05
@@ -126,12 +151,13 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
     b2 = switching_estimate(path, 2).coefficient
     te = TypicalErrorConfig(tau0=1.0, samples=64, reduction="rms")
 
-    m_small = ctx.measure("c3", spec, 50.0, te, rtol=1e-11, atol=1e-13)
+    # Floors: eps_bar is 2.67e-2 at t=50 and 3.18e-6 at t=3e4.
+    m_small = ctx.measure("c3", spec, 50.0, te, 2.6e-2)
     dev1_small = abs((b1 / 50.0) / m_small.typical - 1.0)
     dev2_small = abs((b2 / 50.0**2) / m_small.typical - 1.0)
 
     t_large = 3e4
-    m_large = ctx.measure("c3", spec, t_large, te, rtol=1.5e-13, atol=1e-15)
+    m_large = ctx.measure("c3", spec, t_large, te, 3.1e-6)
     dev1_large = abs((b1 / t_large) / m_large.typical - 1.0)
     dev2_large = abs((b2 / t_large**2) / m_large.typical - 1.0)
 
@@ -156,10 +182,13 @@ def _crossover_sweep_config(k: float, t_min: float, t_max: float, rtol: float, a
 
 
 # The two crossover grids cover the same span of k*t so the measured
-# crossing times are directly comparable.
+# crossing times are directly comparable.  The k=1e-2 grid keeps its hand-set
+# tolerance, 40x tighter than its floor (eps_bar 3.64e-5 at t=2.8e3) needs:
+# the benchmark's sweep-2level workload is this config cut to t <= 500, gated
+# against stored records.  The k=1e-3 floor is eps_bar 3.59e-6 at t=2.8e4.
 CROSSOVER_SWEEPS = {
-    1e-2: _crossover_sweep_config(1e-2, 50.0, 3.1e3, 1.5e-12, 1e-14),
-    1e-3: _crossover_sweep_config(1e-3, 500.0, 3.1e4, 1.5e-13, 1e-15),
+    1e-2: _crossover_sweep_config(1e-2, 50.0, 3.1e3, rtol=1.5e-12, atol=1e-14),
+    1e-3: _crossover_sweep_config(1e-3, 500.0, 3.1e4, **record_tolerances(3.5e-6)),
 }
 
 
@@ -185,11 +214,11 @@ CASE_COMPARE_GRID = dict(t_min=300.0, t_max=6.5e3, points_per_decade=3)
 
 
 def _case_sweep_config(model: str) -> SweepConfig:
+    # Floor: eps_bar is 5.97e-5 (case2) and 6.04e-5 (case1) at t=6.5e3.
     return SweepConfig(
         model=ModelSpec(model, k=1e-3),
         typical=TypicalErrorConfig(tau0=1.0, samples=48, reduction="rms"),
-        rtol=2.5e-13,
-        atol=1e-15,
+        **record_tolerances(5.9e-5),
         **CASE_COMPARE_GRID,
     )
 
@@ -209,14 +238,14 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     return CriterionResult(5, "three-level case1 vs case2", ok, details)
 
 
+# Floor: eps_bar is 2.45e-7 at t=5.6e3.
 EXPONENTIAL_SWEEP = SweepConfig(
     model=ModelSpec("two-level-exp", k=1e-2),
     t_min=10.0,
     t_max=5.7e3,
     points_per_decade=4,
     typical=TypicalErrorConfig(tau0=1.0, samples=48, reduction="rms"),
-    rtol=1e-12,
-    atol=1e-16,
+    **record_tolerances(2.4e-7),
 )
 
 
@@ -231,8 +260,8 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     ]
     monotone = slopes[0] > slopes[1] > slopes[2]
     steep = slopes[2] < -3.0
-    b1 = switching_estimate(build(ModelSpec("two-level", k=0.0)), 1).coefficient
-    small = [(t, e * t / b1) for t, e in zip(ts, ebar) if t <= 50.0]
+    # eps_bar_1 is the unsmoothed order-1 curve at the sweep's window ends.
+    small = [(r.t, r.eps_bar_t / r.eps_bar_1) for r in records if r.t <= 50.0]
     tracking = all(abs(x - 1.0) <= 0.30 for _, x in small)
     ok = monotone and steep and tracking and len(small) >= 2
     details = (
@@ -292,12 +321,12 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     if eig_dev >= 1e-12:
         problems.append(f"eigensolver deviation {eig_dev:.2e}")
 
-    # (d) window-width independence at t=1e3
+    # (d) window-width independence at t=1e3; floor: eps_bar is 1.06e-3 at tau0=0.5
     spec_k = ModelSpec("two-level", k=1e-3)
     vals = {}
     for tau0 in (0.5, 2.0):
         te = TypicalErrorConfig(tau0=tau0, samples=64, reduction="rms")
-        vals[tau0] = ctx.measure("c8", spec_k, 1000.0, te, rtol=4e-12, atol=1e-14).typical
+        vals[tau0] = ctx.measure("c8", spec_k, 1000.0, te, 1.05e-3).typical
     tau_dev = abs(vals[0.5] / vals[2.0] - 1.0)
     if tau_dev >= 0.02:
         problems.append(f"tau0 sensitivity {tau_dev:.3f}")

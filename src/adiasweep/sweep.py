@@ -30,7 +30,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -294,6 +293,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     if cfg.workers == 1:
         records = [_point_task(task) for task in tasks]
     else:
+        # Imported here: it is about a tenth of the CLI's import time, and a
+        # single worker never needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_point_task, tasks))
     records.sort(key=lambda r: r.t)

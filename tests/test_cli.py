@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -532,3 +535,17 @@ def test_estimate_rejects_empty_orders(tmp_path, capsys):
             captured = capsys.readouterr()
             assert "invalid value for orders" in captured.err
             assert captured.out == ""
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, adiasweep.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "False"

@@ -15,10 +15,11 @@ estimates a block of cells serves every member of a batch of total times.  A
 member only adds its own phases exp(-i*t*h*(lambda - lambda_0)), relative to
 each exponential's lowest level, and the real d x d basis changes between
 consecutive eigenbases act on all members' (d, n) coefficients at once; the
-common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.  When the
-members after the first are evenly spaced in t, as a ``measure_errors``
-window is, their phases come from a coarse x fine table: about 2*sqrt(n)
-complex exponentials per exponential and level instead of n.
+common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.  The
+members after the first split into runs at every descent in t.  A run
+evenly spaced in t, as each window of a ``measure_errors`` batch is, takes
+its phases from a coarse x fine table of its own: about 2*sqrt(n) complex
+exponentials per exponential, level and window of n samples instead of n.
 
 Every builtin path is mirror-symmetric, H(1-s) = H(s), as
 ``HamiltonianPath.mirror_symmetric`` derives from its schedules.  On such a
@@ -55,9 +56,11 @@ state.
 Two reference integrators are kept as independent cross-checks, each on a
 single state: ``evolve_dop54`` (adaptive embedded Dormand-Prince 5(4) with a
 PI step controller, whose truncation drift grows like 0.1 * t * rtol) and
-``evolve_fixed_step`` (classic RK4 at a fixed step).  DOP5(4) assembles H
-at one scalar s at a time, apart from ``HamiltonianPath.evaluate`` that CF4
-and RK4 share, so a fault in that assembly still shows in the cross-check.
+``evolve_fixed_step`` (classic RK4 at a fixed step).  DOP5(4) steps on
+Python complex scalars, one per level, with no numpy call in its loop, and
+applies H entry by entry from each distinct schedule's value at one scalar
+s, apart from ``HamiltonianPath.evaluate`` that CF4 and RK4 share, so a
+fault in that assembly still shows in the cross-check.
 All three integrators trust a final state only if its norm has drifted by
 at most ``NORM_DRIFT_LIMIT``.
 
@@ -378,42 +381,55 @@ class _Mesh:
 class _Phases:
     """Builds exp(-i * rates * t) for every member t of ``t_values``, one block of rates at a time.
 
-    If ``t_values[1:]`` holds at least ``_MIN_GRID`` members, each within a
-    few ulps of ``max(t_values)`` of the line through the first and last (a
-    window of ``window_samples`` does), member ``q*fine + j`` of that grid
-    is the product of exponentials at ``t_1 + q*fine*step`` and ``j*step``:
-    with coarse * fine >= n, about 2*sqrt(n) complex exponentials per rate
-    instead of n.  The head member ``t_values[0]`` keeps its own exponential.
-    Any other batch gets one exponential per member, as ``np.exp`` gives it.
+    ``t_values[1:]`` splits into runs at every descent in t; a
+    ``measure_errors`` batch holds one ascending run per window, each centred
+    on the head ``t_values[0]``.  If every run holds at least ``_MIN_GRID``
+    members, each within a few ulps of ``max(t_values)`` of the line through
+    the run's first and last (a window of ``window_samples`` does), each run
+    gets a table of its own: member ``q*fine + j`` of the run is the product
+    of exponentials at ``t_first + q*fine*step`` and ``j*step``; with
+    coarse * fine >= n, about 2*sqrt(n) complex exponentials per rate instead
+    of n.  The head keeps its own exponential.  ``table`` then lists each
+    run's (first member, coarse t, fine t).  Any other batch gets one
+    exponential per member, as ``np.exp`` gives it, and ``table`` is None.
     """
 
     def __init__(self, t_values: np.ndarray):
         self.t_values = t_values
         self.table = None
         grid = t_values[1:]
-        n = grid.shape[0]
-        if n < _MIN_GRID:
-            return
-        step = (grid[-1] - grid[0]) / (n - 1)
-        off_line = np.max(np.abs(grid - (grid[0] + step * np.arange(n))))
-        if off_line <= 4.0 * np.spacing(np.max(t_values)):
+        cuts = [0, *(np.flatnonzero(np.diff(grid) < 0.0) + 1).tolist(), grid.shape[0]]
+        limit = 4.0 * np.spacing(np.max(t_values))
+        runs = []
+        self.size = t_values.shape[0]  # members plus the last table's padding
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            run, n = grid[lo:hi], hi - lo
+            if n < _MIN_GRID:
+                return
+            step = (run[-1] - run[0]) / (n - 1)
+            if np.max(np.abs(run - (run[0] + step * np.arange(n)))) > limit:
+                return
             fine = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
             coarse = -(-n // fine)
-            self.table = (grid[0] + (fine * step) * np.arange(coarse), step * np.arange(fine))
+            runs.append((1 + lo, run[0] + (fine * step) * np.arange(coarse), step * np.arange(fine)))
+            self.size = max(self.size, 1 + lo + coarse * fine)
+        self.table = runs
 
     def __call__(self, rates: np.ndarray) -> np.ndarray:
         """Phases of shape rates.shape + (members,)."""
         t = self.t_values
         if self.table is None:
             return np.exp(-1j * (rates[..., None] * t))
-        coarse, fine = self.table
-        out = np.empty(rates.shape + (1 + coarse.shape[0] * fine.shape[0],), dtype=complex)
+        out = np.empty(rates.shape + (self.size,), dtype=complex)
         out[..., 0] = np.exp(-1j * (rates * t[0]))
-        np.multiply(
-            np.exp(-1j * (rates[..., None] * coarse))[..., None],
-            np.exp(-1j * (rates[..., None] * fine))[..., None, :],
-            out=out[..., 1:].reshape(rates.shape + (coarse.shape[0], fine.shape[0])),
-        )
+        # Runs in order: a table's padding is overwritten by the next run.
+        for first, coarse, fine in self.table:
+            cells = (coarse.shape[0], fine.shape[0])
+            np.multiply(
+                np.exp(-1j * (rates[..., None] * coarse))[..., None],
+                np.exp(-1j * (rates[..., None] * fine))[..., None, :],
+                out=out[..., first : first + cells[0] * cells[1]].reshape(rates.shape + cells),
+            )
         return out[..., : t.shape[0]]
 
 
@@ -550,103 +566,111 @@ _PI_BETA = 0.04
 # first stage of the next one.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
-    np.array(()),
-    np.array((1 / 5,)),
-    np.array((3 / 40, 9 / 40)),
-    np.array((44 / 45, -56 / 15, 32 / 9)),
-    np.array((19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
-    np.array((9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-    np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 # 5th-order weights minus the embedded 4th-order ones.
-_ERR = np.array(
-    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-)
+_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _endpoint_spread(path: HamiltonianPath, s_start: float, s_end: float) -> float:
+def _initial_step(path: HamiltonianPath, cfg: EvolutionConfig) -> float:
+    """1e-3, less where t times the widest level spread at the window's ends exceeds 2*pi."""
     spread = 0.0
-    for s in (s_start, s_end):
+    for s in (cfg.s_start, cfg.s_end):
         ev = hermitian_eigensystem(path.evaluate(s)).eigenvalues
         spread = max(spread, float(ev[-1] - ev[0]))
-    return spread
-
-
-def _initial_step(t_max: float, spread: float, span: float) -> float:
-    rate = t_max * spread
+    rate = cfg.t_total * spread
     h = 1e-3 * (1.0 if rate <= 2.0 * math.pi else 2.0 * math.pi / rate)
-    return min(h, span)
+    return min(h, cfg.s_end - cfg.s_start)
 
 
 def evolve_dop54(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) -> EvolutionResult:
     """Adaptive Dormand-Prince 5(4) with PI step control; a reference oracle.
 
     ``rtol``/``atol`` bound each step's embedded error estimate and
-    ``max_steps`` caps step attempts.
+    ``max_steps`` caps step attempts.  The steps run on lists of Python
+    complex scalars, one per level, with no numpy call inside the loop.
     """
     psi = _check_normalized(psi0, path.dim)
     if cfg.t_total == 0.0:
         return EvolutionResult(psi.copy(), 0.0, 0, 0)
-    dim = path.dim
-    span = cfg.s_end - cfg.s_start
     shift = path.diagonal_mean()
     coeff = -1j * cfg.t_total
+    rtol, atol, s_end = cfg.rtol, cfg.atol, cfg.s_end
 
-    # The Hamiltonian buffer is rebuilt in place on every evaluation; the
-    # matmul consumes it immediately, so reuse is safe.
-    h_buf = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        h_buf[i, i] = path.diagonal[i] - shift
-    entries = tuple((c.i, c.j, c.amplitude, c.schedule.value) for c in path.couplings)
+    # -i*t*(H(s) - shift*I) y entry by entry: each distinct schedule is
+    # evaluated once per stage.
+    schedules, slots = path.schedule_slots
+    values = [sched.value for sched in schedules]
+    diagonal = [d - shift for d in path.diagonal]
+    entries = [(c.i, c.j, c.amplitude, slot) for c, slot in zip(path.couplings, slots)]
 
-    kk = np.empty((7, dim), dtype=complex)
+    def rhs(s: float, y: list[complex]) -> list[complex]:
+        f = [value(s) for value in values]
+        out = [d * z for d, z in zip(diagonal, y)]
+        for i, j, a, slot in entries:
+            v = a * f[slot]
+            out[i] += v * y[j]
+            out[j] += v * y[i]
+        return [coeff * o for o in out]
 
-    def rhs_into(s: float, y_stage: np.ndarray, out: np.ndarray) -> None:
-        for i, j, amp, value in entries:
-            v = amp * value(s)
-            h_buf[i, j] = v
-            h_buf[j, i] = v
-        np.dot(y_stage, h_buf, out=out)
-        out *= coeff
+    _, c2, c3, c4, c5, _, _ = _C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _A[1:5]
+    (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76) = _A[5:]
+    e1, _, e3, e4, e5, e6, e7 = _ERR
 
-    y = psi
+    y = psi.tolist()
     s = cfg.s_start
-    h = _initial_step(cfg.t_total, _endpoint_spread(path, cfg.s_start, cfg.s_end), span)
+    h = _initial_step(path, cfg)
 
-    rhs_into(s, y, kk[0])
+    k1 = rhs(s, y)
     err_old = 1.0
     steps = 0
     rejected = 0
     attempts = 0
 
-    while s < cfg.s_end:
+    while s < s_end:
         attempts += 1
         if attempts > cfg.max_steps:
             raise EvolutionFailure(
                 "step limit exceeded before reaching the end of the window",
                 {"s_reached": s, "steps_taken": steps, "rejected_steps": rejected},
             )
-        h = min(h, cfg.s_end - s)
-        last = s + h >= cfg.s_end
+        h = min(h, s_end - s)
+        last = s + h >= s_end
 
-        for i in range(1, 6):
-            stage = np.dot(_A[i], kk[:i])
-            stage *= h
-            stage += y
-            rhs_into(s + _C[i] * h, stage, kk[i])
+        k2 = rhs(s + c2 * h, [z + h * (a21 * p) for z, p in zip(y, k1)])
+        k3 = rhs(s + c3 * h, [z + h * (a31 * p + a32 * q) for z, p, q in zip(y, k1, k2)])
+        ks = zip(y, k1, k2, k3)
+        k4 = rhs(s + c4 * h, [z + h * (a41 * p + a42 * q + a43 * r) for z, p, q, r in ks])
+        ks = zip(y, k1, k2, k3, k4)
+        stage = [z + h * (a51 * p + a52 * q + a53 * r + a54 * u) for z, p, q, r, u in ks]
+        k5 = rhs(s + c5 * h, stage)
+        stage = [
+            z + h * (a61 * p + a62 * q + a63 * r + a64 * u + a65 * v)
+            for z, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)
+        ]
+        k6 = rhs(s + h, stage)
+        y5 = [
+            z + h * (a71 * p + a73 * r + a74 * u + a75 * v + a76 * w)
+            for z, p, r, u, v, w in zip(y, k1, k3, k4, k5, k6)
+        ]
+        k7 = rhs(s + h, y5)
 
-        y5 = np.dot(_A[6], kk[:6])
-        y5 *= h
-        y5 += y
-        rhs_into(s + h, y5, kk[6])
-
-        err_vec = np.dot(_ERR, kk)
-        err_vec *= h
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
-        ratio = np.abs(err_vec)
-        ratio /= scale
-        ratio *= ratio
-        err = math.sqrt(ratio.sum() / dim)
+        total = 0.0
+        try:
+            for z, z5, p, r, u, v, w, x in zip(y, y5, k1, k3, k4, k5, k6, k7):
+                e = abs(h * (e1 * p + e3 * r + e4 * u + e5 * v + e6 * w + e7 * x))
+                ratio = e / (atol + rtol * max(abs(z), abs(z5)))
+                total += ratio * ratio
+        except OverflowError:  # abs() of a complex beyond the float range
+            total = math.inf
+        err = math.sqrt(total / path.dim)
         if not math.isfinite(err):
             raise EvolutionFailure(
                 f"non-finite error estimate at s={s!r}",
@@ -654,9 +678,9 @@ def evolve_dop54(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) 
             )
 
         if err <= 1.0:
-            s = cfg.s_end if last else s + h
+            s = s_end if last else s + h
             y = y5
-            np.copyto(kk[0], kk[6])  # FSAL
+            k1 = k7  # FSAL
             steps += 1
             if err == 0.0:
                 factor = _MAX_FACTOR
@@ -670,9 +694,9 @@ def evolve_dop54(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) 
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             h *= min(1.0, factor)
 
-    y = y * np.exp(-1j * shift * cfg.t_total * span)
-    drift = _trusted(y, {"steps_taken": steps, "rejected_steps": rejected})
-    return EvolutionResult(y, float(drift), steps, rejected)
+    final = np.array(y) * np.exp(-1j * shift * cfg.t_total * (s_end - cfg.s_start))
+    drift = _trusted(final, {"steps_taken": steps, "rejected_steps": rejected})
+    return EvolutionResult(final, float(drift), steps, rejected)
 
 
 def _rk4_increment(path: HamiltonianPath, t: float, s: np.ndarray, h: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,13 +61,25 @@ class HamiltonianPath:
             if not 0 <= c.i < c.j < self.dim:
                 raise ValueError(f"coupling indices ({c.i},{c.j}) out of range")
 
+    @cached_property
+    def schedule_slots(self) -> tuple[tuple[Schedule, ...], tuple[int, ...]]:
+        """The distinct schedules of the couplings, and the index of each coupling's among them."""
+        distinct: list[Schedule] = []
+        for c in self.couplings:
+            if c.schedule not in distinct:
+                distinct.append(c.schedule)
+        return tuple(distinct), tuple(distinct.index(c.schedule) for c in self.couplings)
+
     def _assemble(self, shape: tuple, diagonal, coupling) -> np.ndarray:
-        """Real symmetric shape + (d, d) stack: ``diagonal`` plus amplitude * coupling(schedule)."""
+        """Real symmetric shape + (d, d) stack: ``diagonal`` plus amplitude * coupling(schedule),
+        with ``coupling`` called once per distinct schedule."""
         out = np.zeros(shape + (self.dim, self.dim))
         idx = np.arange(self.dim)
         out[..., idx, idx] = diagonal
-        for c in self.couplings:
-            v = c.amplitude * coupling(c.schedule)
+        distinct, slots = self.schedule_slots
+        values = [coupling(sched) for sched in distinct]
+        for c, slot in zip(self.couplings, slots):
+            v = c.amplitude * values[slot]
             out[..., c.i, c.j] = v
             out[..., c.j, c.i] = v
         return out

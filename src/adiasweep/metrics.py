@@ -37,7 +37,7 @@ first derivative, from the base path's order-1 level terms;
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,25 +129,27 @@ class MeasuredError:
 def measure_errors(
     path: HamiltonianPath,
     t: float,
-    te_cfg: TypicalErrorConfig,
+    windows: Sequence[TypicalErrorConfig],
     ev_cfg: EvolutionConfig,
-) -> MeasuredError:
-    """Evolve t plus its whole sample window in one batch and score it.
+) -> list[MeasuredError]:
+    """Evolve t plus the samples of every window in ``windows`` in one batch and score it.
 
-    The window's samples are evenly spaced in t, so the batch's propagator
-    builds their phases from a coarse x fine table (see ``evolution``).
+    One mesh, built for the batch's largest t, serves every window, and each
+    window's evenly spaced samples get a coarse x fine phase table of their
+    own (see ``evolution``).  Returns one MeasuredError per window, in order,
+    each with the error at t and the batch's largest norm drift.
     """
     psi0 = ground_state(path, ev_cfg.s_start)
     g_end = ground_state(path, ev_cfg.s_end)
-    ts = np.concatenate(([t], window_samples(t, te_cfg)))
-    batch = evolve_many(path, ev_cfg, ts, psi0)
+    samples = [window_samples(t, w) for w in windows]
+    batch = evolve_many(path, ev_cfg, np.concatenate(([t], *samples)), psi0)
     errs = true_error(batch.final_states, g_end)
-    return MeasuredError(
-        t=t,
-        error=float(errs[0]),
-        typical=reduce_window(errs[1:], te_cfg.reduction),
-        norm_drift_max=float(np.max(batch.norm_drifts)),
-    )
+    drift = float(np.max(batch.norm_drifts))
+    per_window = np.split(errs[1:], np.cumsum([w.samples for w in windows[:-1]]))
+    return [
+        MeasuredError(t, float(errs[0]), reduce_window(e, w.reduction), drift)
+        for w, e in zip(windows, per_window)
+    ]
 
 
 @dataclass(frozen=True)

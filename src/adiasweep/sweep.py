@@ -246,7 +246,7 @@ def compute_sweep_point(
     eps_bar_1 = coeff1 / t
     eps_bar_2 = coeff2 / t**2
     try:
-        m = measure_errors(path, t, cfg.typical, cfg.evolution_config(t))
+        (m,) = measure_errors(path, t, (cfg.typical,), cfg.evolution_config(t))
     except EvolutionFailure as exc:
         nan = float("nan")
         return SweepRecord(
@@ -286,9 +286,12 @@ def _fill_slopes(records: list[SweepRecord]) -> list[SweepRecord]:
     return out
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """One record per grid point, sorted by t; deterministic for a fixed config."""
-    est = estimates(cfg)
+def run_sweep(cfg: SweepConfig, est: Estimates | None = None) -> list[SweepRecord]:
+    """One record per grid point, sorted by t; deterministic for a fixed config.
+
+    ``est``, when given, is ``estimates(cfg)``.
+    """
+    est = estimates(cfg) if est is None else est
     tasks = [(cfg, t, est.order1.coefficient, est.own[2].coefficient) for t in t_grid(cfg)]
     if cfg.workers == 1:
         records = [_point_task(task) for task in tasks]
@@ -394,8 +397,9 @@ def _load_cached(path: str, key: str) -> list[SweepRecord] | None:
 def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> list[SweepRecord]:
     """Return cached records when the config hash matches, else compute and store.
 
-    What is stored is the JSON report of the sweep (see ``emit_json``), so
-    its estimates are computed once per config, on the miss.  A cache file
+    What is stored is the JSON report of the sweep (see ``emit_json``).  On
+    a miss the estimates are computed once and serve both the records and
+    the stored report; a hit computes none.  A cache file
     that cannot be read back as a report counts as a miss and is rewritten.
     Each writer goes through its own temporary file, so concurrent writers
     of one key never interleave.
@@ -406,10 +410,11 @@ def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> lis
         cached = _load_cached(path, key)
         if cached is not None:
             return cached
-    records = run_sweep(cfg)
+    est = estimates(cfg)
+    records = run_sweep(cfg, est)
     if use_cache:
         os.makedirs(cache_dir, exist_ok=True)
-        text = _render_report(records, cfg, key)
+        text = _render_report(records, cfg, key, est)
         fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=cache_dir)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -459,9 +464,9 @@ def _estimate_to_dict(est: SwitchingEstimate, source: str) -> dict:
     }
 
 
-def sweep_metadata(cfg: SweepConfig) -> dict:
-    """The estimates of ``cfg`` and their approximation notes, as echoed into JSON output."""
-    est = estimates(cfg)
+def sweep_metadata(cfg: SweepConfig, est: Estimates | None = None) -> dict:
+    """The estimates of ``cfg`` (``est`` when given) and their notes, as echoed into JSON output."""
+    est = estimates(cfg) if est is None else est
     blocks = {"order-1": _estimate_to_dict(est.order1, est.source)}
     for order in sorted(set(cfg.estimate_orders) | {2}):
         if order != 1:
@@ -472,19 +477,19 @@ def sweep_metadata(cfg: SweepConfig) -> dict:
     return meta
 
 
-def _render_report(records: list[SweepRecord], cfg: SweepConfig, key: str) -> str:
+def _render_report(records: list[SweepRecord], cfg: SweepConfig, key: str, est: Estimates) -> str:
     """The JSON report: the text of both a cache file and ``emit_json``'s output."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "key": key,
         "config": _canonical_config(cfg),
-        **sweep_metadata(cfg),
+        **sweep_metadata(cfg, est),
         "records": [_record_to_dict(r) for r in records],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def emit_json(records: list[SweepRecord], cfg: SweepConfig, path: str) -> None:
-    text = _render_report(records, cfg, cache_key(cfg))
+    text = _render_report(records, cfg, cache_key(cfg), estimates(cfg))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

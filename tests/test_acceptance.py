@@ -28,10 +28,11 @@ def suite(tmp_path_factory):
     reads = []
     measure_errors, load_or_run = acceptance.measure_errors, acceptance.load_or_run
 
-    def measured(path, t, te, ev):
-        m = measure_errors(path, t, te, ev)
-        reads.append((f"point t={t:g}", ev.atol + ev.rtol, m.typical))
-        return m
+    def measured(path, t, windows, ev):
+        per_window = measure_errors(path, t, windows, ev)
+        for m in per_window:
+            reads.append((f"point t={t:g}", ev.atol + ev.rtol, m.typical))
+        return per_window
 
     def swept(cfg, *args, **kwargs):
         records = load_or_run(cfg, *args, **kwargs)
@@ -126,7 +127,7 @@ def test_context_sweeps_each_config_once(monkeypatch):
 
 def test_every_eps_bar_read_is_above_the_floor_of_its_tolerance(suite):
     """No criterion reads an eps_bar smaller than its tolerance holds to RECORD_ACCURACY."""
-    assert len(suite.reads) == 12  # 7 points (criteria 2, 3, 8) and 5 sweep configs
+    assert len(suite.reads) == 12  # 7 windows (criteria 2, 3, 8) and 5 sweep configs
     for label, tol, smallest in suite.reads:
         floor = tol * acceptance.EPS_BAR_ERROR_PER_TOL / acceptance.RECORD_ACCURACY
         assert smallest >= floor, f"{label}: eps_bar {smallest:.3e} < floor {floor:.3e}"
@@ -165,7 +166,7 @@ def test_record_tolerances_hold_eps_bar_to_the_record_accuracy(model, k, t, floo
     ctx = acceptance.AcceptanceContext("unused", use_cache=False)
     spec = ModelSpec(model, k=k)
     te = TypicalErrorConfig(tau0=1.0, samples=48, reduction="rms")
-    reference = ctx.measure("reference", spec, t, te, floor / 100.0).typical
-    assert reference >= floor
-    ruled = ctx.measure("rule", spec, t, te, floor).typical
-    assert abs(ruled / reference - 1.0) <= acceptance.RECORD_ACCURACY
+    (reference,) = ctx.measure("reference", spec, t, (te,), floor / 100.0)
+    assert reference.typical >= floor
+    (ruled,) = ctx.measure("rule", spec, t, (te,), floor)
+    assert abs(ruled.typical / reference.typical - 1.0) <= acceptance.RECORD_ACCURACY

@@ -16,7 +16,7 @@ from adiasweep.evolution import (
 )
 from adiasweep.hamiltonians import Coupling, HamiltonianPath, ModelSpec, build
 from adiasweep.metrics import TypicalErrorConfig, true_error, window_samples
-from adiasweep.schedules import Schedule
+from adiasweep.schedules import Parabola, Schedule, rational_pulse
 
 TWO_LEVEL = build(ModelSpec("two-level", k=0.0))
 
@@ -303,6 +303,28 @@ def test_agrees_with_dop54_oracle(spec):
         assert abs(eps / eps_oracle - 1.0) < 1e-6
 
 
+def test_dop54_oracle_runs_any_dimension_with_shared_schedules():
+    # four levels; couplings (0,1) and (1,2) hold equal pulses, evaluated once
+    pulse = rational_pulse(1e-2)
+    path = HamiltonianPath(
+        4,
+        (0.0, 1.0, 2.5, 3.7),
+        (
+            Coupling(0, 1, 1.0, pulse),
+            Coupling(1, 2, 0.7, rational_pulse(1e-2)),
+            Coupling(2, 3, 0.5, Parabola()),
+        ),
+    )
+    assert path.schedule_slots == ((pulse, Parabola()), (0, 0, 1))
+    psi0 = ground_state(path, 0.0)
+    g_end = ground_state(path, 1.0)
+    cfg = EvolutionConfig(t_total=200.0, rtol=4e-12, atol=1e-14)
+    eps = true_error(evolve(path, cfg, psi0).final_state, g_end)
+    oracle = evolve_dop54(path, cfg, psi0)
+    assert abs(eps / true_error(oracle.final_state, g_end) - 1.0) < 1e-6
+    assert oracle.norm_drift < 1e-9
+
+
 def test_norm_drift_at_rounding_level():
     path = build(ModelSpec("three-level-case1", k=1e-3))
     psi0 = ground_state(path, 0.0)
@@ -583,6 +605,23 @@ def test_phase_table_matches_exp(samples):
         want = np.exp(-1j * (rates[..., None] * t_values))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("samples", (48, 64))
+def test_phase_tables_of_two_windows_match_exp(samples):
+    # 48 = 7 x 7 - 1: the first window's table pads into the second's members
+    rng = np.random.default_rng(samples)
+    t = 1000.0
+    windows = [window_samples(t, TypicalErrorConfig(tau0, samples=samples)) for tau0 in (0.5, 2.0)]
+    t_values = np.concatenate(([t], *windows))
+    members = evolution._Phases(t_values)
+    # one table per window, each run starting where the t values descend
+    assert [first for first, _, _ in members.table] == [1, 1 + samples]
+    rates = rng.uniform(0.0, 1.0, size=(512, 2)) / t
+    got = members(rates)
+    want = np.exp(-1j * (rates[..., None] * t_values))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_phases_off_an_even_grid_are_direct_exponentials():

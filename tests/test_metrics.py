@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adiasweep.evolution import EvolutionConfig
+from adiasweep.evolution import EvolutionConfig, evolve_many, ground_state
 from adiasweep.hamiltonians import Coupling, HamiltonianPath, ModelSpec, build
 from adiasweep.metrics import (
     DegenerateGapError,
@@ -275,7 +275,8 @@ def test_window_sampling_density_insensitive():
     vals = {}
     for samples in (32, 64):
         te = TypicalErrorConfig(tau0=1.0, samples=samples, reduction="rms")
-        vals[samples] = measure_errors(path, 120.0, te, ev).typical
+        (m,) = measure_errors(path, 120.0, (te,), ev)
+        vals[samples] = m.typical
     assert abs(vals[32] / vals[64] - 1.0) < 0.01
 
 
@@ -285,5 +286,35 @@ def test_window_width_insensitive_at_large_t():
     for tau0 in (0.5, 2.0):
         te = TypicalErrorConfig(tau0=tau0, samples=64, reduction="rms")
         ev = EvolutionConfig(t_total=1000.0, rtol=4e-12, atol=1e-14)
-        vals[tau0] = measure_errors(path, 1000.0, te, ev).typical
+        (m,) = measure_errors(path, 1000.0, (te,), ev)
+        vals[tau0] = m.typical
     assert abs(vals[0.5] / vals[2.0] - 1.0) < 0.02
+
+
+def test_windows_of_one_batch_match_their_own_calls():
+    # Two windows share one propagation, whose mesh is built for the wider
+    # window's largest t; each still reads its own typical error.
+    path = build(ModelSpec("two-level", k=1e-3))
+    ev = EvolutionConfig(t_total=1000.0, rtol=4e-12, atol=1e-14)
+    windows = tuple(TypicalErrorConfig(tau0=tau0, samples=64) for tau0 in (0.5, 2.0))
+    batched = measure_errors(path, 1000.0, windows, ev)
+    assert len(batched) == 2
+    for window, got in zip(windows, batched):
+        (alone,) = measure_errors(path, 1000.0, (window,), ev)
+        assert got.t == alone.t == 1000.0
+        assert abs(got.typical / alone.typical - 1.0) < 1e-6
+        assert abs(got.error / alone.error - 1.0) < 1e-6
+        assert got.norm_drift_max < 1e-12
+
+
+def test_a_single_window_is_one_batch_of_t_and_its_samples():
+    path = build(ModelSpec("three-level-case1", k=1e-3))
+    te = TypicalErrorConfig(tau0=1.0, samples=48, reduction="mean")
+    ev = EvolutionConfig(t_total=300.0, rtol=1e-11, atol=1e-13)
+    (m,) = measure_errors(path, 300.0, (te,), ev)
+    ts = np.concatenate(([300.0], window_samples(300.0, te)))
+    batch = evolve_many(path, ev, ts, ground_state(path, 0.0))
+    errs = true_error(batch.final_states, ground_state(path, 1.0))
+    assert m.error == errs[0]
+    assert m.typical == reduce_window(errs[1:], "mean")
+    assert m.norm_drift_max == np.max(batch.norm_drifts)

@@ -291,6 +291,21 @@ def test_records_only_cache_file_is_a_miss_and_rewritten_as_report(tmp_path):
     assert path.read_bytes() == report.read_bytes()
 
 
+def test_a_miss_computes_the_estimates_once(tmp_path, monkeypatch):
+    cfg = small_config(model=ModelSpec("two-level", k=1e-2))
+    report = tmp_path / "report.json"
+    emit_json(run_sweep(cfg), cfg, str(report))
+    calls = []
+    estimates = sweep.estimates
+    monkeypatch.setattr(sweep, "estimates", lambda c: calls.append(c) or estimates(c))
+    cache_dir = tmp_path / "cache"
+    load_or_run(cfg, str(cache_dir))
+    assert calls == [cfg]
+    assert (cache_dir / f"{cache_key(cfg)}.json").read_bytes() == report.read_bytes()
+    load_or_run(cfg, str(cache_dir))
+    assert calls == [cfg]
+
+
 def test_report_stored_under_another_key_is_a_miss(tmp_path):
     cfg, other = small_config(), small_config(t_max=20.0)
     cache_dir = tmp_path / "cache"

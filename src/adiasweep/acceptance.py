@@ -26,7 +26,12 @@ tolerance (see CROSSOVER_SWEEPS), and criterion 8(b) cross-checks the
 integrators at their defaults.  The propagator is unitary by construction, so
 the norm drift that criterion 8 audits against its 1e-9 budget stays at the
 rounding level (1e-15 to 6e-13).  Criterion 8 also cross-checks the propagator
-and the Dormand-Prince 5(4) oracle against fixed-step RK4.
+and the Dormand-Prince 5(4) oracle against fixed-step RK4.  On the mirror-
+symmetric two-level path the propagator and RK4 both step through the first
+half of the window only and take the second half as its mirror image;
+DOP5(4) runs the whole window, so it is the independent check that the
+path's ``mirror_symmetric()`` holds: a false claim moves it, not the other
+two, and 8(b) fails.
 """
 
 from __future__ import annotations

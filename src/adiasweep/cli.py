@@ -139,7 +139,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cache_dir = settings.get("cache_dir", DEFAULT_CACHE_DIR)
     use_cache = not settings.get("no_cache", False)
     _check_paths(out_path, cache_dir if use_cache else None)
-    records = load_or_run(cfg, cache_dir, use_cache)
+    # Without the cache every request computes the estimates: once, for the
+    # records and for a JSON report alike.
+    est = None if use_cache else estimates(cfg)
+    records = load_or_run(cfg, cache_dir, use_cache, est=est)
     if settings.get("format") != "json":
         emit_csv(records, out_path)
     elif use_cache:
@@ -147,7 +150,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # written it; writers replace it atomically, so it is always whole.
         shutil.copyfile(cache_path(cfg, cache_dir), out_path)
     else:
-        emit_json(records, cfg, out_path)
+        emit_json(records, cfg, out_path, est=est)
     failed = [r for r in records if not r.ok]
     print(f"wrote {len(records)} records to {out_path} ({len(failed)} failed points)")
     if failed:

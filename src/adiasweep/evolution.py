@@ -71,9 +71,22 @@ s_n + h/2 and s_n + h
     K1 = A_0,  K2 = A_m + (h/2) A_m K1,  K3 = A_m + (h/2) A_m K2,
     K4 = A_1 + h A_1 K3,  D_n = (h/6) (K1 + 2 K2 + 2 K3 + K4).
 
-The D_n of a chunk of steps are formed in one batch, reduced by a pairwise
-tree in increment form, (I + B)(I + A) = I + (A + B + B A), and applied to
-the state once per chunk; no Python loop runs per step.
+The D_n of a chunk of n steps are formed in one batch from the 2n + 1 nodes
+s_0 + j*h/2 that its steps share, reduced by a pairwise tree in increment
+form, (I + B)(I + A) = I + (A + B + B A), and applied to the state once per
+chunk; no Python loop runs per step.  Expanded, D_n is
+
+    (h/6) [A_0 + 4 A_m + A_1 + h (A_m A_0 + A_m^2 + A_1 A_m)
+           + (h^2/2) (A_m^2 A_0 + A_1 A_m^2) + (h^3/4) A_1 A_m^2 A_0],
+
+and A is complex symmetric, so the mirror image of a step, which sees its
+nodes in reverse order, transfers by (I + D_n)^T exactly.  On a mirror-
+symmetric window of N steps RK4 therefore takes, like CF4, only the first
+N // 2 steps, on the columns of the identity, for their product U; when N is
+odd the middle step M is its own mirror image, and the final state is
+U^T M U psi0.  Unlike CF4's, RK4's ``steps_taken`` and ``max_steps`` check
+count all N steps of the window.  DOP5(4) always runs the whole window: it
+is the independent check that a path's ``mirror_symmetric()`` holds.
 """
 
 from __future__ import annotations
@@ -198,6 +211,12 @@ class BatchEvolutionResult:
 def ground_state(path: HamiltonianPath, s: float) -> np.ndarray:
     """Instantaneous ground state of H(s), phase-fixed."""
     return hermitian_eigensystem(path.evaluate(s)).ground
+
+
+def _mirrored(path: HamiltonianPath, cfg: EvolutionConfig) -> bool:
+    """Whether the window's second half is the mirror image of its first: H(1-s) = H(s)
+    on the path and s_start + s_end = 1."""
+    return path.mirror_symmetric() and cfg.s_start + cfg.s_end == 1.0
 
 
 def _check_normalized(psi0: np.ndarray, dim: int) -> np.ndarray:
@@ -473,7 +492,7 @@ def _propagate(
     span = cfg.s_end - cfg.s_start
     shift = path.diagonal_mean()
     n, dim = t_values.shape[0], path.dim
-    mirror = path.mirror_symmetric() and cfg.s_start + cfg.s_end == 1.0
+    mirror = _mirrored(path, cfg)
     if mirror:
         # the chain yields each member's U over the first half
         hi = 0.5
@@ -699,15 +718,17 @@ def evolve_dop54(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) 
     return EvolutionResult(final, float(drift), steps, rejected)
 
 
-def _rk4_increment(path: HamiltonianPath, t: float, s: np.ndarray, h: float) -> np.ndarray:
-    """D with I + D the product of the RK4 steps of width h from each s, later steps on the left.
+def _rk4_increment(path: HamiltonianPath, t: float, s0: float, n: int, h: float) -> np.ndarray:
+    """D with I + D the product of n RK4 steps of width h from s0, later steps on the left.
 
-    For y' = A(s) y one step is y -> (I + D_n) y.  Steps are merged pairwise
-    as (I + B)(I + A) = I + (A + B + B @ A): carrying only the increment keeps
-    the rounding of the identity out of the product.
+    For y' = A(s) y one step is y -> (I + D_n) y.  Neighbouring steps share
+    their end nodes, so A is evaluated once at each s0 + j*h/2, j = 0..2n.
+    Steps are merged pairwise as (I + B)(I + A) = I + (A + B + B @ A):
+    carrying only the increment keeps the rounding of the identity out of the
+    product.
     """
-    a = (-1j * t) * path.evaluate(np.stack((s, s + 0.5 * h, s + h), axis=1))
-    a0, am, a1 = a[:, 0], a[:, 1], a[:, 2]
+    a = (-1j * t) * path.evaluate(s0 + (0.5 * h) * np.arange(2 * n + 1))
+    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
     k2 = am + (0.5 * h) * _mul(am, a0)
     k3 = am + (0.5 * h) * _mul(am, k2)
     k4 = a1 + h * _mul(a1, k3)
@@ -727,10 +748,15 @@ def evolve_fixed_step(
 ) -> EvolutionResult:
     """Classic RK4 at a fixed step; the independent reference integrator.
 
-    The step is shrunk to divide the window evenly.  Raises ValueError unless
-    ``step`` is finite and positive, and EvolutionFailure when the window
-    needs more than ``cfg.max_steps`` steps or the final norm drift exceeds
-    the trust threshold.
+    The step is shrunk to divide the window evenly into N steps.  On a
+    mirror-symmetric path and window (see ``_mirrored``) only the first
+    N // 2 steps are taken, on the columns of the identity, giving their
+    product U; the final state is U^T M U psi0, where M is the middle step,
+    its own mirror image, when N is odd and I otherwise.  ``steps_taken`` and
+    the ``max_steps`` check count all N steps of the window either way.
+    Raises ValueError unless ``step`` is finite and positive, and
+    EvolutionFailure when the window needs more than ``cfg.max_steps`` steps
+    or the final norm drift exceeds the trust threshold.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and > 0, got {step}")
@@ -745,9 +771,18 @@ def evolve_fixed_step(
         )
     n_steps = max(1, math.ceil(span / step))
     h = span / n_steps
-    y = psi.copy()
-    for first in range(0, n_steps, _RK4_CHUNK_STEPS):
-        n = np.arange(first, min(first + _RK4_CHUNK_STEPS, n_steps))
-        y = y + _rk4_increment(path, cfg.t_total, cfg.s_start + n * h, h) @ y
+    t = cfg.t_total
+    mirror = _mirrored(path, cfg)
+    taken = n_steps // 2 if mirror else n_steps
+    y = np.eye(path.dim, dtype=complex) if mirror else psi.copy()
+    for first in range(0, taken, _RK4_CHUNK_STEPS):
+        n = min(_RK4_CHUNK_STEPS, taken - first)
+        y = y + _rk4_increment(path, t, cfg.s_start + first * h, n, h) @ y
+    if mirror:
+        u, y = y, y @ psi
+        if n_steps % 2:  # the middle step
+            y = y + _rk4_increment(path, t, cfg.s_start + taken * h, 1, h) @ y
+        # the mirrored second half propagates by U^T
+        y = u.T @ y
     drift = _trusted(y, {"steps_taken": n_steps})
     return EvolutionResult(y, float(drift), n_steps, 0)

@@ -394,12 +394,14 @@ def _load_cached(path: str, key: str) -> list[SweepRecord] | None:
         return None
 
 
-def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> list[SweepRecord]:
+def load_or_run(
+    cfg: SweepConfig, cache_dir: str, use_cache: bool = True, est: Estimates | None = None
+) -> list[SweepRecord]:
     """Return cached records when the config hash matches, else compute and store.
 
     What is stored is the JSON report of the sweep (see ``emit_json``).  On
-    a miss the estimates are computed once and serve both the records and
-    the stored report; a hit computes none.  A cache file
+    a miss the estimates, ``est`` when given, else computed once, serve both
+    the records and the stored report; a hit computes none.  A cache file
     that cannot be read back as a report counts as a miss and is rewritten.
     Each writer goes through its own temporary file, so concurrent writers
     of one key never interleave.
@@ -410,7 +412,7 @@ def load_or_run(cfg: SweepConfig, cache_dir: str, use_cache: bool = True) -> lis
         cached = _load_cached(path, key)
         if cached is not None:
             return cached
-    est = estimates(cfg)
+    est = estimates(cfg) if est is None else est
     records = run_sweep(cfg, est)
     if use_cache:
         os.makedirs(cache_dir, exist_ok=True)
@@ -489,7 +491,11 @@ def _render_report(records: list[SweepRecord], cfg: SweepConfig, key: str, est: 
     return json.dumps(doc, indent=2) + "\n"
 
 
-def emit_json(records: list[SweepRecord], cfg: SweepConfig, path: str) -> None:
-    text = _render_report(records, cfg, cache_key(cfg), estimates(cfg))
+def emit_json(
+    records: list[SweepRecord], cfg: SweepConfig, path: str, est: Estimates | None = None
+) -> None:
+    """Write the JSON report of ``records``; ``est``, when given, is ``estimates(cfg)``."""
+    est = estimates(cfg) if est is None else est
+    text = _render_report(records, cfg, cache_key(cfg), est)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -170,6 +170,22 @@ def test_sweep_json_is_the_cache_file_byte_for_byte(tmp_path, monkeypatch, capsy
     assert emitted.read_bytes() == text
 
 
+def test_uncached_json_sweep_computes_the_estimates_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    estimates = sweep.estimates
+
+    def counted(cfg):
+        calls.append(cfg)
+        return estimates(cfg)
+
+    monkeypatch.setattr(sweep, "estimates", counted)
+    monkeypatch.setattr(cli, "estimates", counted)
+    out = tmp_path / "uncached.json"
+    assert main(SMALL_SWEEP + ["--format", "json", "--no-cache", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["estimates"]["order-1"]["source"] == "model"
+
+
 def test_sweep_config_file_with_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "r.csv"

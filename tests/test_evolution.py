@@ -16,7 +16,7 @@ from adiasweep.evolution import (
 )
 from adiasweep.hamiltonians import Coupling, HamiltonianPath, ModelSpec, build
 from adiasweep.metrics import TypicalErrorConfig, true_error, window_samples
-from adiasweep.schedules import Parabola, Schedule, rational_pulse
+from adiasweep.schedules import Parabola, PowerRamp, Schedule, rational_pulse
 
 TWO_LEVEL = build(ModelSpec("two-level", k=0.0))
 
@@ -589,6 +589,81 @@ def test_asymmetric_window_takes_the_whole_window():
     got, whole = evolve(path, cfg, psi0), evolve(_undeclared(path), cfg, psi0)
     assert np.array_equal(got.final_state, whole.final_state)
     assert got.steps_taken == whole.steps_taken
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.model)
+def test_mirrored_fixed_step_matches_the_whole_window(spec):
+    # odd counts take a middle step; 2 * _CHUNK + 2 runs the half past one chunk
+    path = build(spec)
+    whole = _undeclared(path)
+    lo, hi = spec.evolution_window()
+    psi0 = ground_state(path, lo)
+    for n in (1, 3, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 2 * _CHUNK + 2):
+        cfg = EvolutionConfig(t_total=0.01 * n, s_start=lo, s_end=hi)
+        assert evolution._mirrored(path, cfg) and not evolution._mirrored(whole, cfg)
+        step = (hi - lo) / (n - 0.5)
+        got = evolve_fixed_step(path, cfg, psi0, step=step)
+        reference = evolve_fixed_step(whole, cfg, psi0, step=step)
+        assert got.steps_taken == reference.steps_taken == n
+        assert np.max(np.abs(got.final_state - reference.final_state)) < 1e-12
+
+
+class _Recorded(Schedule):
+    """``inner``, keeping the largest s it is evaluated at."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.s_max = -math.inf
+
+    def value(self, s):
+        self.s_max = max(self.s_max, float(np.max(s)))
+        return self.inner.value(s)
+
+    def mirror_symmetric(self):
+        return self.inner.mirror_symmetric()
+
+
+def _fixed_step_reach(lo, hi, n):
+    """The largest s at which RK4 of n steps over [lo, hi] evaluates the path."""
+    sched = _Recorded(rational_pulse(1e-3))
+    path = HamiltonianPath(2, (0.0, 1.0), (Coupling(0, 1, 1.0, sched),))
+    cfg = EvolutionConfig(t_total=10.0, s_start=lo, s_end=hi)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    result = evolve_fixed_step(path, cfg, psi0, step=(hi - lo) / (n - 0.5))
+    assert result.steps_taken == n
+    return sched.s_max
+
+
+@pytest.mark.parametrize("n", (2 * _CHUNK + 1, 2 * _CHUNK + 2))
+def test_fixed_step_evaluates_half_of_a_mirrored_window(n):
+    assert 0.5 <= _fixed_step_reach(0.0, 1.0, n) <= 0.5 + 1.0 / n
+    assert _fixed_step_reach(0.1, 0.95, n) == pytest.approx(0.95, abs=1e-12)
+
+
+class _ClaimsMirror(Schedule):
+    """``inner``, declared mirror-symmetric whether it is or not."""
+
+    def __init__(self, inner):
+        self.value = inner.value
+
+    def mirror_symmetric(self):
+        return True
+
+
+def test_dop54_oracle_catches_a_false_mirror_claim():
+    # CF4 and RK4 both propagate half the window and err alike; DOP5(4) runs
+    # the whole window, so criterion 8(b)'s cross-check fails
+    ramp = PowerRamp(0.3, 1)
+    assert not ramp.mirror_symmetric()
+    path = HamiltonianPath(2, (0.0, 1.0), (Coupling(0, 1, 1.0, _ClaimsMirror(ramp)),))
+    psi0 = ground_state(path, 0.0)
+    g_end = ground_state(path, 1.0)
+    cfg = EvolutionConfig(t_total=50.0)
+    eps_fixed = true_error(evolve_fixed_step(path, cfg, psi0, step=1e-5).final_state, g_end)
+    eps = true_error(evolve(path, cfg, psi0).final_state, g_end)
+    eps_oracle = true_error(evolve_dop54(path, cfg, psi0).final_state, g_end)
+    assert abs(eps - eps_fixed) < 1e-8
+    assert abs(eps_oracle - eps_fixed) > 1e-2
 
 
 @pytest.mark.parametrize("samples", (16, 48, 64))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
@@ -364,8 +365,29 @@ def _record_to_dict(r: SweepRecord) -> dict:
     return {name: getattr(r, name) for name in _RECORD_FIELDS}
 
 
+_CSV_VALUES = operator.itemgetter(*_CSV_FIELDS)
+
+
 def _record_from_dict(d: dict) -> SweepRecord:
-    return SweepRecord(**{name: d[name] for name in _CSV_FIELDS}, error=d.get("error"))
+    return SweepRecord(*_CSV_VALUES(d), error=d.get("error"))
+
+
+# Types of the fields of a stored record: numbers (NaN in a failed point) and
+# an optional slope and error note.  bool is no number here, though it
+# subclasses int.
+_FLOATS = operator.itemgetter(*(name for name in _CSV_FIELDS if name != "slope"))
+_NUMBER = {float, int}
+_OPTIONAL_NUMBER = {float, int, type(None)}
+_OPTIONAL_STR = {str, type(None)}
+
+
+def _well_typed(d: dict) -> bool:
+    """Whether every field of the stored record ``d`` has the type SweepRecord declares."""
+    return (
+        set(map(type, _FLOATS(d))) <= _NUMBER
+        and type(d["slope"]) in _OPTIONAL_NUMBER
+        and type(d.get("error")) in _OPTIONAL_STR
+    )
 
 
 def cache_path(cfg: SweepConfig, cache_dir: str) -> str:
@@ -373,12 +395,14 @@ def cache_path(cfg: SweepConfig, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"{cache_key(cfg)}.json")
 
 
-def _load_cached(path: str, key: str) -> list[SweepRecord] | None:
+def _load_cached(cfg: SweepConfig, path: str, key: str) -> list[SweepRecord] | None:
     """Records of a stored report, or None when the file is not a usable report.
 
     Missing, stale, corrupt and truncated files are unusable, and so are files
-    in the older records-only layout (no estimates) and reports stored under
-    a key other than ``key``.
+    in the older records-only layout (no estimates), reports stored under a
+    key other than ``key``, reports whose records are not one per point of
+    ``t_grid(cfg)`` at exactly that point's t, and records with a field of
+    the wrong type.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -389,7 +413,10 @@ def _load_cached(path: str, key: str) -> list[SweepRecord] | None:
             or "estimates" not in data
         ):
             return None
-        return [_record_from_dict(d) for d in data["records"]]
+        stored = data["records"]
+        if [d["t"] for d in stored] != t_grid(cfg) or not all(map(_well_typed, stored)):
+            return None
+        return [_record_from_dict(d) for d in stored]
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
@@ -409,7 +436,7 @@ def load_or_run(
     key = cache_key(cfg)
     path = os.path.join(cache_dir, f"{key}.json")
     if use_cache:
-        cached = _load_cached(path, key)
+        cached = _load_cached(cfg, path, key)
         if cached is not None:
             return cached
     est = estimates(cfg) if est is None else est

@@ -3,16 +3,19 @@
 Criteria 3-7 integrate to long total times, so the session's run_all takes a
 few seconds.  Sweep results (criteria 4-7) are cached per config hash; point
 ADIASWEEP_ACCEPTANCE_CACHE at a persistent directory to skip those sweeps on
-reruns.  Criteria 2, 3 and 8 are recomputed every time.  The last tests check
-the record accuracy that every criterion's tolerance is derived from.
+reruns.  The points of criteria 2 and 3 are one-point sweeps, cached the same
+way; criterion 8 is recomputed every time.  The last tests check the record
+accuracy that every criterion's tolerance is derived from.
 """
 
 import os
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from adiasweep import acceptance, sweep
+from adiasweep.evolution import EvolutionFailure
 from adiasweep.hamiltonians import ModelSpec
 from adiasweep.metrics import TypicalErrorConfig
 from adiasweep.sweep import SweepRecord
@@ -127,7 +130,7 @@ def test_context_sweeps_each_config_once(monkeypatch):
 
 def test_every_eps_bar_read_is_above_the_floor_of_its_tolerance(suite):
     """No criterion reads an eps_bar smaller than its tolerance holds to RECORD_ACCURACY."""
-    assert len(suite.reads) == 12  # 7 windows (criteria 2, 3, 8) and 5 sweep configs
+    assert len(suite.reads) == 12  # 2 windows (criterion 8) and 10 sweep configs
     for label, tol, smallest in suite.reads:
         floor = tol * acceptance.EPS_BAR_ERROR_PER_TOL / acceptance.RECORD_ACCURACY
         assert smallest >= floor, f"{label}: eps_bar {smallest:.3e} < floor {floor:.3e}"
@@ -144,6 +147,95 @@ def test_cached_reports_serve_the_sweep_criteria_unchanged(suite, monkeypatch):
     assert [(r.number, r.passed, r.details) for r in again] == [
         (r.number, r.passed, r.details) for r in first
     ]
+
+
+POINT_CRITERIA = (2, 3)
+
+
+def _details(lines):
+    """Printed result lines without their elapsed-time field."""
+    return [re.sub(r" \[[0-9.]+s\]", "", line) for line in lines]
+
+
+@pytest.fixture(scope="module")
+def cold_points(tmp_path_factory):
+    """A cold run of the point criteria into a cache of their own."""
+    cache_dir = str(tmp_path_factory.mktemp("point-cache"))
+    lines = []
+    results = acceptance.run_all(cache_dir=cache_dir, numbers=POINT_CRITERIA, printer=lines.append)
+    assert all(r.passed for r in results), lines
+    return SimpleNamespace(cache_dir=cache_dir, lines=lines)
+
+
+def test_warm_point_criteria_propagate_nothing(cold_points, monkeypatch):
+    def no_point(*args):
+        raise AssertionError("a point of criterion 2 or 3 propagated on a warm cache")
+
+    monkeypatch.setattr(sweep, "compute_sweep_point", no_point)
+    monkeypatch.setattr(acceptance, "measure_errors", no_point)
+    lines = []
+    acceptance.run_all(cache_dir=cold_points.cache_dir, numbers=POINT_CRITERIA, printer=lines.append)
+    assert _details(lines) == _details(cold_points.lines)
+
+
+def test_uncached_point_criteria_recompute_every_point_and_write_nothing(
+    cold_points, tmp_path, monkeypatch
+):
+    computed = []
+
+    def replay(cfg, t, coeff1, coeff2):
+        # the cold run's record of the same point, which propagates nothing
+        computed.append((cfg.model.k, t))
+        (record,) = sweep.load_or_run(cfg, cold_points.cache_dir)
+        return record
+
+    monkeypatch.setattr(sweep, "compute_sweep_point", replay)
+    cache_dir = tmp_path / "unused"
+    lines = []
+    acceptance.run_all(
+        cache_dir=str(cache_dir), use_cache=False, numbers=POINT_CRITERIA, printer=lines.append
+    )
+    assert computed == [(0.0, 200.0), (0.0, 500.0), (0.0, 1000.0), (1e-3, 50.0), (1e-3, 3e4)]
+    assert not cache_dir.exists()
+    assert _details(lines) == _details(cold_points.lines)
+
+
+# Every point of criteria 2 and 3: model, k, t and eps_bar floor.
+POINTS = [
+    ("two-level", 0.0, 200.0, acceptance.SQRT2 * 0.95 / 1000.0),
+    ("two-level", 0.0, 500.0, acceptance.SQRT2 * 0.95 / 1000.0),
+    ("two-level", 0.0, 1000.0, acceptance.SQRT2 * 0.95 / 1000.0),
+    ("two-level", 1e-3, 50.0, 2.6e-2),
+    ("two-level", 1e-3, 3e4, 3.1e-6),
+]
+
+
+def test_point_records_equal_measure_errors_bitwise(cold_points):
+    """Each point's cached eps_bar is what measure_errors gives at the same tolerances."""
+    ctx = acceptance.AcceptanceContext(cold_points.cache_dir)
+    te = TypicalErrorConfig(tau0=1.0, samples=64, reduction="rms")
+    for model, k, t, floor in POINTS:
+        spec = ModelSpec(model, k=k)
+        record = ctx.point("cached", spec, t, te, floor)
+        (measured,) = ctx.measure("live", spec, t, (te,), floor)
+        assert record.eps_bar_t == measured.typical, (model, k, t)
+        assert record.eps == measured.error, (model, k, t)
+
+
+def test_a_failed_point_fails_its_criterion_and_the_rest_still_run(tmp_path, monkeypatch):
+    def fail(*args):
+        raise EvolutionFailure("step limit exceeded (stub)")
+
+    monkeypatch.setattr(sweep, "measure_errors", fail)
+    lines = []
+    results = acceptance.run_all(
+        cache_dir=str(tmp_path), use_cache=False, numbers=(1, 2, 3), printer=lines.append
+    )
+    assert [(r.number, r.passed) for r in results] == [(1, True), (2, False), (3, False)]
+    assert results[1].details == "; ".join(
+        f"t={t:g} failed: step limit exceeded (stub)" for t in (200.0, 500.0, 1000.0)
+    )
+    assert results[2].details.startswith("t=50 failed: step limit exceeded (stub)")
 
 
 # Each builtin model at the k of its criterion, at a small t and at t >= 3e3,

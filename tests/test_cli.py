@@ -136,6 +136,20 @@ def test_sweep_csv_end_to_end(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_csv_request_rewrites_a_cached_record_with_a_wrong_typed_field(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    fresh, served = tmp_path / "fresh.csv", tmp_path / "served.csv"
+    assert main(SMALL_SWEEP + ["--out", str(fresh), "--cache-dir", str(cache)]) == 0
+    (stored,) = cache.glob("*.json")
+    report = stored.read_text()
+    doc = json.loads(report)
+    doc["records"][0]["eps"] = "oops"
+    stored.write_text(json.dumps(doc))
+    assert main(SMALL_SWEEP + ["--out", str(served), "--cache-dir", str(cache)]) == 0
+    assert served.read_bytes() == fresh.read_bytes()
+    assert stored.read_text() == report
+
+
 def test_sweep_json_output(tmp_path):
     out = tmp_path / "records.json"
     argv = SMALL_SWEEP + [

@@ -270,6 +270,71 @@ def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, damage):
     assert json.loads(path.read_text())["key"] == cache_key(cfg)
 
 
+def _edit_cached_records(cfg, cache_dir, edit):
+    """Fill the cache for ``cfg``, apply ``edit`` to its stored records, and
+    return the fresh records and report text that a miss must reproduce."""
+    records = load_or_run(cfg, str(cache_dir))
+    path = cache_dir / f"{cache_key(cfg)}.json"
+    report = path.read_text()
+    doc = json.loads(report)
+    edit(doc["records"])
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return records, report
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda records: records.pop(),
+        lambda records: records.append(dict(records[-1])),
+        lambda records: records.clear(),
+        lambda records: records.reverse(),
+        lambda records: records[1].update(t=math.nextafter(records[1]["t"], math.inf)),
+    ],
+    ids=["one-missing", "one-extra", "empty", "out-of-order", "t-off-grid"],
+)
+def test_report_without_one_record_per_grid_point_is_a_miss_and_rewritten(tmp_path, edit):
+    cfg = small_config()
+    cache_dir = tmp_path / "cache"
+    fresh, report = _edit_cached_records(cfg, cache_dir, edit)
+    assert len(fresh) == len(t_grid(cfg)) == 2
+    assert load_or_run(cfg, str(cache_dir)) == fresh
+    assert (cache_dir / f"{cache_key(cfg)}.json").read_text() == report
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("eps_bar_t", None),
+        ("eps", "oops"),
+        ("ratio2", True),
+        ("norm_drift", [1e-15]),
+        ("slope", "steep"),
+        ("slope", False),
+        ("error", 5),
+    ],
+)
+def test_record_with_a_wrong_typed_field_is_a_miss_and_rewritten(tmp_path, name, value):
+    cfg = small_config()
+    cache_dir = tmp_path / "cache"
+    fresh, report = _edit_cached_records(
+        cfg, cache_dir, lambda records: records[0].update({name: value})
+    )
+    assert load_or_run(cfg, str(cache_dir)) == fresh
+    assert (cache_dir / f"{cache_key(cfg)}.json").read_text() == report
+
+
+def test_cached_failed_points_with_nan_fields_are_served(tmp_path, monkeypatch):
+    cfg = small_config(max_steps=25)
+    first = load_or_run(cfg, str(tmp_path))
+    assert all(not r.ok and math.isnan(r.eps) for r in first)
+    monkeypatch.setattr(sweep, "run_sweep", None)
+    again = load_or_run(cfg, str(tmp_path))
+    # NaN != NaN, so compare the records' JSON text
+    as_json = lambda records: json.dumps([sweep._record_to_dict(r) for r in records])  # noqa: E731
+    assert as_json(again) == as_json(first)
+
+
 def test_records_only_cache_file_is_a_miss_and_rewritten_as_report(tmp_path):
     # The layout cache files had before they held the whole JSON report.
     cfg = small_config()

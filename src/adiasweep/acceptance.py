@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import EvolutionConfig, evolve, evolve_dop54, evolve_fixed_step, ground_state
+from .evolution import EvolutionFailure
 from .hamiltonians import ModelSpec, build
 from .linalg import hermitian_eigensystem, jacobi_eigensystem
 from .metrics import (
@@ -232,11 +233,15 @@ CROSSOVER_SWEEPS = {
 
 def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
     """Crossover time scales like 1/k between k=1e-2 and k=1e-3."""
+    name = "crossover scaling with k"
+    swept = {k: ctx.sweep(f"c4 k={k:g}", cfg) for k, cfg in CROSSOVER_SWEEPS.items()}
+    failed = _failures([r for records in swept.values() for r in records])
+    if failed:
+        return CriterionResult(4, name, False, failed)
     crossings = {}
-    for k, cfg in CROSSOVER_SWEEPS.items():
-        records = ctx.sweep(f"c4 k={k:g}", cfg)
-        ts = np.array([r.t for r in records if r.ok])
-        ratios = np.array([r.ratio2 for r in records if r.ok])
+    for k, records in swept.items():
+        ts = np.array([r.t for r in records])
+        ratios = np.array([r.ratio2 for r in records])
         crossings[k] = crossover_time(ts, ratios, CROSSOVER_BAND)
     ok = crossings[1e-2] is not None and crossings[1e-3] is not None
     ratio = crossings[1e-3] / crossings[1e-2] if ok else float("nan")
@@ -245,7 +250,7 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
         f"t_cross(k=1e-2)={crossings[1e-2]}, t_cross(k=1e-3)={crossings[1e-3]}, "
         f"ratio={ratio:.2f} (need 5..20)"
     )
-    return CriterionResult(4, "crossover scaling with k", ok, details)
+    return CriterionResult(4, name, ok, details)
 
 
 CASE_COMPARE_GRID = dict(t_min=300.0, t_max=6.5e3, points_per_decade=3)
@@ -263,8 +268,12 @@ def _case_sweep_config(model: str) -> SweepConfig:
 
 def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     """Three-level case 1 vs case 2 agree at the three largest sampled t."""
-    rec1 = [r for r in ctx.sweep("c5 case1", _case_sweep_config("three-level-case1")) if r.ok]
-    rec2 = [r for r in ctx.sweep("c5 case2", _case_sweep_config("three-level-case2")) if r.ok]
+    name = "three-level case1 vs case2"
+    rec1 = ctx.sweep("c5 case1", _case_sweep_config("three-level-case1"))
+    rec2 = ctx.sweep("c5 case2", _case_sweep_config("three-level-case2"))
+    failed = _failures(rec1 + rec2)
+    if failed:
+        return CriterionResult(5, name, False, failed)
     pairs = list(zip(rec1, rec2))[-3:]
     ok = len(pairs) == 3
     parts = []
@@ -273,7 +282,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
         parts.append(f"t={r1.t:.0f}: {rel:.3f}")
         ok = ok and rel <= 0.25
     details = "relative gap (need <=0.25): " + ", ".join(parts)
-    return CriterionResult(5, "three-level case1 vs case2", ok, details)
+    return CriterionResult(5, name, ok, details)
 
 
 # Floor: eps_bar is 2.45e-7 at t=5.6e3.
@@ -289,7 +298,11 @@ EXPONENTIAL_SWEEP = SweepConfig(
 
 def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     """Exponential pulse: decay steepens beyond any fixed power of 1/t."""
-    records = [r for r in ctx.sweep("c6", EXPONENTIAL_SWEEP) if r.ok]
+    name = "exponential pulse decay"
+    records = ctx.sweep("c6", EXPONENTIAL_SWEEP)
+    failed = _failures(records)
+    if failed:
+        return CriterionResult(6, name, False, failed)
     ts = np.array([r.t for r in records])
     ebar = np.array([r.eps_bar_t for r in records])
     t_max = ts[-1]
@@ -307,17 +320,21 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
         f"last < -3: {steep}; small-t tracking "
         + ", ".join(f"t={t:.0f}: {x:.3f}" for t, x in small)
     )
-    return CriterionResult(6, "exponential pulse decay", ok, details)
+    return CriterionResult(6, name, ok, details)
 
 
 def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     """Peak-to-average bound eps <= sqrt(2)*eps_bar past the crossover."""
-    records = [r for r in ctx.sweep("c7", CROSSOVER_SWEEPS[1e-3]) if r.ok]
+    name = "sqrt(2) bound past crossover"
+    records = ctx.sweep("c7", CROSSOVER_SWEEPS[1e-3])
+    failed = _failures(records)
+    if failed:
+        return CriterionResult(7, name, False, failed)
     ts = np.array([r.t for r in records])
     ratios = np.array([r.ratio2 for r in records])
     t_cross = crossover_time(ts, ratios, CROSSOVER_BAND)
     if t_cross is None:
-        return CriterionResult(7, "sqrt(2) bound", False, "no crossover found")
+        return CriterionResult(7, name, False, "no crossover found")
     checked = [r for r in records if r.t >= t_cross]
     failures = [r.t for r in checked if not sqrt2_bound_check(r.eps, r.eps_bar_t)]
     ok = not failures and len(checked) >= 3
@@ -325,28 +342,33 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
         f"t_cross={t_cross:g}, {len(checked)} points checked"
         + (f", violations at t={failures}" if failures else ", no violations")
     )
-    return CriterionResult(7, "sqrt(2) bound past crossover", ok, details)
+    return CriterionResult(7, name, ok, details)
 
 
 def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     """Numerics hygiene: drift, integrator cross-check, eigensolver, tau0."""
     problems = []
 
-    # (b) propagator and DOP5(4) oracle vs the fixed-step RK4 reference at t=50
+    # (b) propagator and DOP5(4) oracle vs the fixed-step RK4 reference at t=50;
+    # a numerical failure here or in (d) is one of the problems.
     spec = ModelSpec("two-level", k=0.0)
     path = build(spec)
     psi0 = ground_state(path, 0.0)
     g_end = ground_state(path, 1.0)
     cfg = EvolutionConfig(t_total=50.0)
-    eps_fixed = true_error(evolve_fixed_step(path, cfg, psi0, step=1e-5).final_state, g_end)
-    devs, drifts = {}, {}
-    for label, integrator in (("propagator", evolve), ("dop54", evolve_dop54)):
-        result = integrator(path, cfg, psi0)
-        devs[label] = abs(true_error(result.final_state, g_end) - eps_fixed)
-        if devs[label] >= 1e-8:
-            problems.append(f"{label} vs fixed-step disagreement {devs[label]:.2e}")
-        drifts[label] = result.norm_drift
-        ctx.drift_log.append((f"c8 {label} t=50", result.norm_drift))
+    devs = dict.fromkeys(("propagator", "dop54"), math.nan)
+    drifts = dict(devs)
+    try:
+        eps_fixed = true_error(evolve_fixed_step(path, cfg, psi0, step=1e-5).final_state, g_end)
+        for label, integrator in (("propagator", evolve), ("dop54", evolve_dop54)):
+            result = integrator(path, cfg, psi0)
+            devs[label] = abs(true_error(result.final_state, g_end) - eps_fixed)
+            if devs[label] >= 1e-8:
+                problems.append(f"{label} vs fixed-step disagreement {devs[label]:.2e}")
+            drifts[label] = result.norm_drift
+            ctx.drift_log.append((f"c8 {label} t=50", result.norm_drift))
+    except EvolutionFailure as exc:
+        problems.append(f"numerical failure in (b): {exc}")
 
     # (c) the LAPACK eigensystem and the Jacobi oracle vs the 2x2 closed form
     h2 = np.array([[0.0, 0.25], [0.25, 1.0]], dtype=complex)
@@ -364,22 +386,26 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     # propagation; floor: eps_bar is 1.06e-3 at tau0=0.5
     spec_k = ModelSpec("two-level", k=1e-3)
     windows = tuple(TypicalErrorConfig(tau0, samples=64, reduction="rms") for tau0 in (0.5, 2.0))
-    narrow, wide = ctx.measure("c8", spec_k, 1000.0, windows, 1.05e-3)
-    tau_dev = abs(narrow.typical / wide.typical - 1.0)
+    tau_dev = math.nan
+    try:
+        narrow, wide = ctx.measure("c8", spec_k, 1000.0, windows, 1.05e-3)
+        tau_dev = abs(narrow.typical / wide.typical - 1.0)
+    except EvolutionFailure as exc:
+        problems.append(f"numerical failure in (d): {exc}")
     if tau_dev >= 0.02:
         problems.append(f"tau0 sensitivity {tau_dev:.3f}")
 
     # (a) unitarity across everything this suite ran, (b)-(d) included.  The
     # detail shows the propagator's worst apart from the DOP5(4) oracle's,
     # whose truncation drift is orders of magnitude larger.
-    worst_label, worst = max(ctx.drift_log, key=lambda kv: kv[1])
+    worst_label, worst = max(ctx.drift_log, key=lambda kv: kv[1], default=("", 0.0))
     if worst >= 1e-9:
         problems.append(f"norm drift {worst:.2e} at {worst_label}")
     propagator = [drift for label, drift in ctx.drift_log if label != "c8 dop54 t=50"]
 
     ok = not problems
     details = (
-        f"max propagator drift {max(propagator):.2e} ({len(propagator)} runs, "
+        f"max propagator drift {max(propagator, default=math.nan):.2e} ({len(propagator)} runs, "
         f"dop54 {drifts['dop54']:.2e}), fixed-step dev "
         f"{devs['propagator']:.2e} (dop54 {devs['dop54']:.2e}), "
         f"eigensolver dev {eig_dev:.2e}, tau0 dev {tau_dev:.4f}"

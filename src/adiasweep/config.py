@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-from .hamiltonians import MODEL_NAMES, ModelSpec
+from .hamiltonians import MODEL_NAMES, MODELS, ModelSpec
 from .metrics import REDUCTIONS, TypicalErrorConfig
 from .schedules import PREFACTOR_MODES
 from .sweep import SweepConfig
@@ -53,9 +53,13 @@ def _orders(value: str) -> tuple[int, ...]:
     return orders
 
 
+# The energy parameters of every model, E0..E3.
+ENERGY_KEYS = tuple(dict.fromkeys(name for row in MODELS.values() for name in row.energies))
+
 PARSERS = {
     "model": _choice(MODEL_NAMES),
-    **dict.fromkeys(("k", "k1", "k2", "k3", "E0", "E1", "E2", "E3"), float),
+    **dict.fromkeys(("k", "k1", "k2", "k3"), float),
+    **dict.fromkeys(ENERGY_KEYS, float),
     "n": int,
     "prefactor": _choice(PREFACTOR_MODES),
     **dict.fromkeys(("t_min", "t_max", "tau0", "rtol", "atol", "s_start", "s_end"), float),
@@ -127,14 +131,20 @@ def model_spec_from_settings(settings: dict[str, object]) -> ModelSpec:
     model = settings.get("model")
     if not model:
         raise ConfigError("no model selected; pass --model or set 'model' in the config file")
-    energy_keys = ("E0", "E1", "E2", "E3")
+    if model not in MODELS:
+        raise ConfigError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
+    row = MODELS[model]
+    needed = tuple(row.energies)
+    # Keys the model does not read.  ModelSpec refuses k1..k3 itself, but its
+    # defaults cannot tell a set order or prefactor from an unset one.
+    not_read = [key for key in ENERGY_KEYS if key not in needed]
+    if row.pulse != "rational":
+        not_read += ["n", "prefactor"]
+    unread = [key for key in not_read if key in settings]
+    if unread:
+        raise ConfigError(f"model {model} does not read {', '.join(unread)}")
     energies = None
-    present = [k for k in energy_keys if k in settings]
-    if present:
-        if model in ("two-level", "two-level-exp"):
-            needed = ("E0", "E1")
-        else:
-            needed = ("E1", "E2", "E3")
+    if any(key in settings for key in needed):
         missing = [k for k in needed if k not in settings]
         if missing:
             raise ConfigError(f"model {model} needs all of {needed}; missing {missing}")

@@ -12,30 +12,20 @@ this from the schedules.
 float s or an array of s, that ground states, the endpoint estimates and the
 CF4 and RK4 propagators share.
 
-Builtin models
---------------
-two-level          [[0, E1*f], [E1*f, E0]] with the smoothed parabola f
-two-level-exp      same layout, exponential pulse (clipped evolution window)
-three-level-case1  diag(1,2,3), all three couplings smoothed with the same k
-three-level-case2  diag(1,2,3), couplings (E1, E2, E3) = (1, 0, 1) by default,
-                   only the (0,1) coupling smoothed
+The builtin models are the rows of ``MODELS``: ``build``, ``ModelSpec``, the
+config keys and the sweep's reference shortcut all read them, and no code
+branches on a model's name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .schedules import ExponentialPulse, Parabola, Schedule, rational_pulse
-
-MODEL_NAMES = ("two-level", "two-level-exp", "three-level-case1", "three-level-case2")
-
-# Evolution window for the exponential model; the pulse is numerically
-# ill-defined exactly at the endpoints.
-EXPONENTIAL_CLIP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,15 +97,58 @@ class HamiltonianPath:
         return float(sum(self.diagonal) / self.dim)
 
 
+# Coupling schedules by pulse kind, on one smoothing scale k; k = 0 gives the bare parabola.
+PULSES = {
+    "rational": rational_pulse,
+    "exponential": lambda k, order, prefactor: ExponentialPulse(k) if k > 0.0 else Parabola(),
+}
+
+
+@dataclass(frozen=True)
+class Model:
+    """One builtin model, a row of ``MODELS``."""
+
+    energies: dict[str, float]  # its energy parameters, in order, with their defaults
+    diagonal: tuple[float | str, ...]  # numbers or energy names
+    couplings: tuple[tuple[int, int, str], ...]  # (i, j, energy name); a zero amplitude drops it
+    takes_k: tuple[int, ...]  # indices of the couplings smoothed on k when k1..k3 is unset
+    pulse: str = "rational"  # a kind of PULSES
+    window: tuple[float, float] = (0.0, 1.0)  # the evolution window
+    base: str | None = None  # the model whose k = 0 path this one deviates from, if not itself
+
+
+_TWO_LEVEL = Model({"E0": 1.0, "E1": 1.0}, (0.0, "E0"), ((0, 1, "E1"),), (0,))
+_THREE_LEVEL = Model(
+    {"E1": 1.0, "E2": 1.0, "E3": 1.0},
+    (1.0, 2.0, 3.0),
+    ((0, 1, "E1"), (0, 2, "E2"), (1, 2, "E3")),
+    (0, 1, 2),
+)
+MODELS = {
+    "two-level": _TWO_LEVEL,
+    "two-level-exp": replace(
+        _TWO_LEVEL,
+        pulse="exponential",
+        window=(1e-6, 1.0 - 1e-6),  # the pulse is numerically ill-defined at s = 0 and 1
+        base="two-level",
+    ),
+    "three-level-case1": _THREE_LEVEL,
+    "three-level-case2": replace(
+        _THREE_LEVEL, energies={"E1": 1.0, "E2": 0.0, "E3": 1.0}, takes_k=(0,)
+    ),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parameters selecting one builtin model.
+    """Parameters selecting one builtin model, a row of ``MODELS``.
 
-    ``k`` is the endpoint-smoothing scale; the three-level models accept
-    per-coupling overrides k1..k3.  ``energies`` means (E0, E1) for the
-    two-level models and the coupling amplitudes (E1, E2, E3) for the
-    three-level ones.  ``order`` is the number of endpoint derivatives the
-    rational smoothing forces to zero (k = 0 switches smoothing off exactly).
+    ``k`` is the endpoint-smoothing scale; models with more than one coupling
+    accept per-coupling overrides k1..k3.  ``energies`` lists the row's energy
+    parameters in its order.  ``order`` is the number of endpoint derivatives
+    the rational smoothing forces to zero (k = 0 switches smoothing off
+    exactly).
     """
 
     model: str
@@ -134,34 +167,36 @@ class ModelSpec:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        row = MODELS[self.model]
+        # k1..k3 override k coupling by coupling; a one-coupling model reads k alone.
+        overridden = len(row.couplings) if len(row.couplings) > 1 else 0
+        for name in ("k1", "k2", "k3")[overridden:]:
+            if getattr(self, name) is not None:
+                raise ValueError(f"model {self.model} does not read {name}")
+        if self.energies is not None and len(self.energies) != len(row.energies):
+            raise ValueError(f"model {self.model} takes {tuple(row.energies)}, got {self.energies}")
         if self.energies is not None and not all(math.isfinite(e) for e in self.energies):
             raise ValueError(f"energies must be finite, got {self.energies}")
         if self.order < 1:
             raise ValueError(f"smoothing order must be >= 1, got {self.order}")
 
-    def k_values(self) -> tuple[float, float, float]:
-        """Per-coupling smoothing scales for the three-level models."""
-        if self.model == "three-level-case2":
-            defaults = (self.k, 0.0, 0.0)
-        else:
-            defaults = (self.k, self.k, self.k)
-        picked = (self.k1, self.k2, self.k3)
-        return tuple(d if p is None else p for d, p in zip(defaults, picked))
+    def k_values(self) -> tuple[float, ...]:
+        """The smoothing scale of each coupling of the model."""
+        row = MODELS[self.model]
+        picked = (self.k1, self.k2, self.k3)[: len(row.couplings)]
+        return tuple(
+            (self.k if i in row.takes_k else 0.0) if p is None else p for i, p in enumerate(picked)
+        )
 
     def energy_values(self) -> tuple[float, ...]:
         if self.energies is not None:
             return self.energies
-        if self.model in ("two-level", "two-level-exp"):
-            return (1.0, 1.0)
-        if self.model == "three-level-case1":
-            return (1.0, 1.0, 1.0)
-        return (1.0, 0.0, 1.0)
+        return tuple(MODELS[self.model].energies.values())
 
     def base(self) -> "ModelSpec":
         """The unsmoothed (k = 0) path this model deviates from."""
-        model = "two-level" if self.model == "two-level-exp" else self.model
         return ModelSpec(
-            model=model,
+            model=MODELS[self.model].base or self.model,
             k=0.0,
             energies=self.energy_values(),
             order=self.order,
@@ -169,34 +204,17 @@ class ModelSpec:
         )
 
     def evolution_window(self) -> tuple[float, float]:
-        if self.model == "two-level-exp":
-            return (EXPONENTIAL_CLIP, 1.0 - EXPONENTIAL_CLIP)
-        return (0.0, 1.0)
+        return MODELS[self.model].window
 
 
 def build(spec: ModelSpec) -> HamiltonianPath:
-    """Assemble the path for a builtin model."""
-    energies = spec.energy_values()
-    if spec.model in ("two-level", "two-level-exp"):
-        if len(energies) != 2:
-            raise ValueError(f"two-level models need (E0, E1), got {energies}")
-        e0, e1 = energies
-        if spec.model == "two-level-exp":
-            sched: Schedule = ExponentialPulse(spec.k) if spec.k > 0.0 else Parabola()
-        else:
-            sched = rational_pulse(spec.k, spec.order, spec.prefactor)
-        couplings = []
-        if e1 != 0.0:
-            couplings.append(Coupling(0, 1, e1, sched))
-        return HamiltonianPath(2, (0.0, e0), tuple(couplings))
-
-    if len(energies) != 3:
-        raise ValueError(f"three-level models need (E1, E2, E3), got {energies}")
-    ks = spec.k_values()
-    pairs = ((0, 1), (0, 2), (1, 2))
-    couplings = []
-    for (i, j), amp, k in zip(pairs, energies, ks):
-        if amp == 0.0:
-            continue
-        couplings.append(Coupling(i, j, amp, rational_pulse(k, spec.order, spec.prefactor)))
-    return HamiltonianPath(3, (1.0, 2.0, 3.0), tuple(couplings))
+    """Assemble the path of a builtin model from its row of ``MODELS``."""
+    row = MODELS[spec.model]
+    energy = dict(zip(row.energies, spec.energy_values()))
+    diagonal = tuple(energy[d] if isinstance(d, str) else d for d in row.diagonal)
+    couplings = tuple(
+        Coupling(i, j, energy[name], PULSES[row.pulse](k, spec.order, spec.prefactor))
+        for (i, j, name), k in zip(row.couplings, spec.k_values())
+        if energy[name] != 0.0
+    )
+    return HamiltonianPath(len(diagonal), diagonal, couplings)

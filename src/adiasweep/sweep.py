@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .evolution import EvolutionConfig, EvolutionFailure
-from .hamiltonians import ModelSpec, build
+from .hamiltonians import MODELS, ModelSpec, build
 from .metrics import (
     SwitchingEstimate,
     TypicalErrorConfig,
@@ -213,7 +213,7 @@ class Estimates:
 def estimates(cfg: SweepConfig) -> Estimates:
     """Every estimate of ``cfg``, from one walk over the window's ends per path."""
     m, window = cfg.model, cfg.window()
-    shortcut = m.k > 0.0 and m.model != "two-level-exp"
+    shortcut = m.k > 0.0 and MODELS[m.model].pulse == "rational"
     orders = tuple(sorted({1, 2, *cfg.estimate_orders, *((m.order + 1,) if shortcut else ())}))
     own = dict(zip(orders, switching_estimates(build(m), orders, window)))
     fallback = not own[1].coefficient > _ZERO_COEFFICIENT

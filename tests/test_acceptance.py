@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from adiasweep import acceptance, sweep
+from adiasweep import acceptance, cli, sweep
 from adiasweep.evolution import EvolutionFailure
 from adiasweep.hamiltonians import ModelSpec
 from adiasweep.metrics import TypicalErrorConfig
@@ -236,6 +236,53 @@ def test_a_failed_point_fails_its_criterion_and_the_rest_still_run(tmp_path, mon
         f"t={t:g} failed: step limit exceeded (stub)" for t in (200.0, 500.0, 1000.0)
     )
     assert results[2].details.startswith("t=50 failed: step limit exceeded (stub)")
+
+
+def test_a_failed_sweep_point_fails_criteria_4_to_7_with_its_note(tmp_path, monkeypatch):
+    # The last point of every sweep fails and the others hold stand-in values.
+    # Dropping the failed records instead made criterion 5 compare case1 and
+    # case2 at different t.
+    note = "step limit exceeded (stub)"
+
+    def point(cfg, t, coeff1, coeff2):
+        if t == sweep.t_grid(cfg)[-1]:
+            nan = float("nan")
+            return SweepRecord(t, nan, nan, nan, nan, nan, nan, nan, None, nan, error=note)
+        return SweepRecord(t, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, None, 0.0)
+
+    def failed(*configs):
+        return "; ".join(f"t={sweep.t_grid(cfg)[-1]:g} failed: {note}" for cfg in configs)
+
+    monkeypatch.setattr(sweep, "compute_sweep_point", point)
+    results = acceptance.run_all(
+        cache_dir=str(tmp_path), use_cache=False, numbers=(4, 5, 6, 7), printer=lambda line: None
+    )
+    cases = [acceptance._case_sweep_config(m) for m in ("three-level-case1", "three-level-case2")]
+    assert [(r.number, r.passed, r.details) for r in results] == [
+        (4, False, failed(*acceptance.CROSSOVER_SWEEPS.values())),
+        (5, False, failed(*cases)),
+        (6, False, failed(acceptance.EXPONENTIAL_SWEEP)),
+        (7, False, failed(acceptance.CROSSOVER_SWEEPS[1e-3])),
+    ]
+
+
+@pytest.mark.parametrize("name", ["evolve_fixed_step", "evolve", "evolve_dop54", "measure_errors"])
+def test_a_numerical_failure_fails_criterion_8_and_check_exits_2(name, tmp_path, monkeypatch):
+    # 8(b) calls the three integrators and 8(d) measure_errors; a failure in
+    # any of them is one of criterion 8's problems, not an abort of the run.
+    def fail(*args, **kwargs):
+        raise EvolutionFailure("step limit exceeded (stub)")
+
+    monkeypatch.setattr(acceptance, name, fail)
+    lines = []
+    results = acceptance.run_all(
+        cache_dir=str(tmp_path), use_cache=False, numbers=(1, 8), printer=lines.append
+    )
+    assert [(r.number, r.passed) for r in results] == [(1, True), (8, False)]
+    assert lines[1].startswith("FAIL  8. numerics hygiene")
+    part = "(d)" if name == "measure_errors" else "(b)"
+    assert f"PROBLEMS: numerical failure in {part}: step limit exceeded (stub)" in lines[1]
+    assert cli.main(["check", "--only", "1,8", "--no-cache", "--cache-dir", str(tmp_path)]) == 2
 
 
 # Each builtin model at the k of its criterion, at a small t and at t >= 3e3,

@@ -317,6 +317,40 @@ def test_sweep_rejects_malformed_values(flags, file_text, tmp_path, monkeypatch,
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "estimate"])
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--model", "three-level-case1", "--k", "1e-3", "--E0", "5", "--E1", "1", "--E2", "1",
+          "--E3", "1"], "E0"),
+        (["--model", "two-level", "--k", "1e-3", "--E0", "1", "--E1", "1", "--E3", "7"], "E3"),
+        (["--model", "two-level", "--k", "1e-3", "--k2", "0.5"], "k2"),
+        (["--model", "two-level-exp", "--k", "1e-2", "--n", "3"], "n"),
+        (["--model", "two-level-exp", "--k", "1e-2", "--prefactor", "as-printed"], "prefactor"),
+    ],
+    ids=["E0-three-level", "E3-two-level", "k2-two-level", "n-exponential", "prefactor-exponential"],
+)
+def test_model_keys_the_model_does_not_read_are_refused(
+    command, flags, key, tmp_path, monkeypatch, capsys
+):
+    # Each key would otherwise be ignored; a set k2 would also move the cache key.
+    def no_run(*args, **kwargs):
+        raise AssertionError("rejected input must not reach the sweep")
+
+    monkeypatch.setattr("adiasweep.cli.load_or_run", no_run)
+    argv = [command] + flags + (["--out", str(tmp_path / "x.csv")] if command == "sweep" else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("configuration error:") and f"does not read {key}" in err
+    assert out == ""
+
+
+def test_settings_with_an_unknown_model_are_a_configuration_error():
+    # Settings built without the parsers reach the model table unchecked.
+    with pytest.raises(ConfigError, match="unknown model 'five-level'"):
+        sweep_config_from_settings({"model": "five-level"})
+
+
 @pytest.mark.parametrize(
     "argv",
     [

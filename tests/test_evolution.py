@@ -14,7 +14,7 @@ from adiasweep.evolution import (
     evolve_many,
     ground_state,
 )
-from adiasweep.hamiltonians import Coupling, HamiltonianPath, ModelSpec, build
+from adiasweep.hamiltonians import MODEL_NAMES, Coupling, HamiltonianPath, ModelSpec, build
 from adiasweep.metrics import TypicalErrorConfig, true_error, window_samples
 from adiasweep.schedules import Parabola, PowerRamp, Schedule, rational_pulse
 
@@ -288,6 +288,11 @@ ORACLE_SPECS = (
     ModelSpec("three-level-case1", k=1e-3),
     ModelSpec("three-level-case2", k=1e-3),
 )
+
+
+def test_oracle_specs_cover_every_model():
+    # A model added to the table without a spec here would skip the DOP5(4) cross-check.
+    assert sorted(spec.model for spec in ORACLE_SPECS) == sorted(MODEL_NAMES)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.model)

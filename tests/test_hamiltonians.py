@@ -1,7 +1,12 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import adiasweep
 from adiasweep.hamiltonians import (
+    MODEL_NAMES,
     Coupling,
     HamiltonianPath,
     ModelSpec,
@@ -147,6 +152,37 @@ def test_model_spec_validation():
         ModelSpec("two-level", order=0)
 
 
+def test_model_spec_refuses_what_its_model_does_not_read():
+    # k1..k3 override the couplings of a model that has several; a wrong
+    # number of energies is refused here, not first in build.
+    for name in ("k1", "k2", "k3"):
+        with pytest.raises(ValueError, match=f"does not read {name}"):
+            ModelSpec("two-level-exp", k=1e-2, **{name: 1e-3})
+    with pytest.raises(ValueError, match="E0', 'E1'"):
+        ModelSpec("two-level", energies=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="E1', 'E2', 'E3'"):
+        ModelSpec("three-level-case2", energies=(1.0, 1.0))
+    assert ModelSpec("two-level", k=1e-3).k_values() == (1e-3,)
+
+
+def test_no_code_compares_against_a_model_name():
+    # Every per-model fact is a field of hamiltonians.MODELS.  A comparison
+    # with a model's name anywhere in the package is a branch the table
+    # does not see; constructing a ModelSpec by name is no comparison.
+    found = set()
+    for path in sorted(pathlib.Path(adiasweep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            if not any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+                continue
+            for operand in (node.left, *node.comparators):
+                for sub in ast.walk(operand):
+                    if isinstance(sub, ast.Constant) and sub.value in MODEL_NAMES:
+                        found.add(f"{path.name}:{node.lineno}")
+    assert not found, sorted(found)
+
+
 def test_case_defaults():
     case1 = ModelSpec("three-level-case1", k=2e-3)
     assert case1.k_values() == (2e-3, 2e-3, 2e-3)
@@ -163,7 +199,7 @@ def test_zero_amplitude_couplings_dropped():
     assert pairs == {(0, 1), (1, 2)}
 
 
-@pytest.mark.parametrize("model", ["two-level", "two-level-exp", "three-level-case1", "three-level-case2"])
+@pytest.mark.parametrize("model", MODEL_NAMES)
 def test_one_assembly_for_a_float_or_an_array_of_s(model):
     # The propagators evaluate arrays of s, ground states and the endpoint
     # walk single floats; both must give the same matrices bit for bit.

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiasweep.evolution import EvolutionConfig, evolve, evolve_many, ground_state
-from adiasweep.hamiltonians import Coupling, HamiltonianPath, ModelSpec, build
+from adiasweep.hamiltonians import MODEL_NAMES, Coupling, HamiltonianPath, ModelSpec, build
 from adiasweep.metrics import true_error
 from adiasweep.schedules import Parabola, PowerRamp, Product, Schedule, rational_pulse
 
 PROPERTY_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
 
-MODELS = st.sampled_from(("two-level", "two-level-exp", "three-level-case1", "three-level-case2"))
+MODELS = st.sampled_from(MODEL_NAMES)
 KS = st.sampled_from((1e-3, 1e-2, 5e-2))
 
 

@@ -22,7 +22,6 @@ import argparse
 import functools
 import math
 import os
-import shutil
 import sys
 
 from . import acceptance
@@ -35,12 +34,12 @@ from .config import (
     sweep_config_from_settings,
 )
 from .evolution import EvolutionFailure
-from .hamiltonians import ModelSpec
+from .hamiltonians import MODELS, ModelSpec
 from .hamiltonians import build  # uncalled here, kept for the benchmark tracer that patches it
 from .metrics import DegenerateGapError
 from .metrics import reference_scaling_estimate, switching_estimate  # likewise uncalled here
 from .schedules import PREFACTOR_MODES, ExponentialPulse, Parabola, PowerRamp, rational_pulse
-from .sweep import cache_path, emit_csv, emit_json, estimates, load_or_run
+from .sweep import cache_path, emit_csv, emit_json, estimates, load_or_run, write_output
 
 DEFAULT_CACHE_DIR = ".adiasweep-cache"
 
@@ -148,7 +147,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elif use_cache:
         # The cache file is the JSON report, and load_or_run has just read or
         # written it; writers replace it atomically, so it is always whole.
-        shutil.copyfile(cache_path(cfg, cache_dir), out_path)
+        with open(cache_path(cfg, cache_dir), "rb") as fh:
+            write_output(out_path, fh.read())
     else:
         emit_json(records, cfg, out_path, est=est)
     failed = [r for r in records if not r.ok]
@@ -161,7 +161,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = sweep_config_from_settings(_settings(args))
     spec, est = cfg.model, estimates(cfg)
-    print(f"model={spec.model} k={spec.k:g} order={spec.order} energies={spec.energy_values()}")
+    order = f" order={spec.order}" if MODELS[spec.model].pulse == "rational" else ""
+    print(f"model={spec.model} k={spec.k:g}{order} energies={spec.energy_values()}")
     print(f"{'n':>3} {'b_n(start)':>14} {'b_n(end)':>14} {'b_n':>14}")
     for order in cfg.estimate_orders:
         b = est.own[order]
@@ -198,8 +199,7 @@ def _cmd_schedule_dump(args: argparse.Namespace) -> int:
     for i in range(args.points):
         s = i / (args.points - 1)
         lines.append(f"{s!r},{sched.value(s)!r},{sched.taylor(s, 1)[1]!r}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_output(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {args.points} samples to {args.out}")
     return 0
 

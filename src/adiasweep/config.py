@@ -135,8 +135,8 @@ def model_spec_from_settings(settings: dict[str, object]) -> ModelSpec:
         raise ConfigError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
     row = MODELS[model]
     needed = tuple(row.energies)
-    # Keys the model does not read.  ModelSpec refuses k1..k3 itself, but its
-    # defaults cannot tell a set order or prefactor from an unset one.
+    # Keys the model does not read.  ModelSpec itself refuses k1..k3 and a
+    # non-default order or prefactor, but cannot tell a set default from an unset one.
     not_read = [key for key in ENERGY_KEYS if key not in needed]
     if row.pulse != "rational":
         not_read += ["n", "prefactor"]

@@ -168,10 +168,16 @@ class ModelSpec:
             if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         row = MODELS[self.model]
-        # k1..k3 override k coupling by coupling; a one-coupling model reads k alone.
+        # Fields the model does not read keep their defaults, so one path has
+        # one cache key.  k1..k3 override k coupling by coupling, and a
+        # one-coupling model reads k alone; only the rational pulse reads the
+        # smoothing order and prefactor.
         overridden = len(row.couplings) if len(row.couplings) > 1 else 0
-        for name in ("k1", "k2", "k3")[overridden:]:
-            if getattr(self, name) is not None:
+        unread = ("k1", "k2", "k3")[overridden:]
+        if row.pulse != "rational":
+            unread += ("order", "prefactor")
+        for name in unread:
+            if getattr(self, name) != getattr(ModelSpec, name):
                 raise ValueError(f"model {self.model} does not read {name}")
         if self.energies is not None and len(self.energies) != len(row.energies):
             raise ValueError(f"model {self.model} takes {tuple(row.energies)}, got {self.energies}")

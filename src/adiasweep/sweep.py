@@ -10,8 +10,9 @@ records, the JSON report (``sweep_metadata``) and ``adiasweep estimate`` all
 read it.  Points are independent pure computations, so worker count changes
 wall time but never the records; results are cached keyed by a content hash
 of the numeric config.  The cache file is the sweep's JSON report, byte for
-byte, so a cached JSON request copies it and a cached CSV request reads its
-records.
+byte, so a cached JSON request writes its bytes out unparsed and a cached CSV
+request reads its records.  Every output goes through ``write_output``, which
+overwrites in place; only the cache file is written atomically.
 
 CSV schema (one row per grid point):
 
@@ -30,6 +31,7 @@ import json
 import math
 import operator
 import os
+import stat
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -465,12 +467,32 @@ def _fmt(x: float | None) -> str:
     return repr(float(x))
 
 
+def write_output(path: str, data: bytes) -> None:
+    """Make ``path`` hold exactly ``data``, overwriting an existing file in place.
+
+    The file is opened without truncation and cut to ``len(data)`` after the
+    write: truncating first makes a file system such as ext4 free the old
+    blocks and allocate new ones, which costs several times the write.  Only
+    regular files are cut, so devices and pipes (``/dev/stdout``,
+    ``/dev/null``) work.  The overwrite is not atomic: a reader can see a mix
+    of old and new bytes, and a failed write leaves one.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def emit_csv(records: list[SweepRecord], path: str) -> None:
     lines = [CSV_HEADER]
     for r in records:
         lines.append(",".join([_fmt(getattr(r, name)) for name in _CSV_FIELDS]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_output(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _estimate_to_dict(est: SwitchingEstimate, source: str) -> dict:
@@ -523,6 +545,4 @@ def emit_json(
 ) -> None:
     """Write the JSON report of ``records``; ``est``, when given, is ``estimates(cfg)``."""
     est = estimates(cfg) if est is None else est
-    text = _render_report(records, cfg, cache_key(cfg), est)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_output(path, _render_report(records, cfg, cache_key(cfg), est).encode("utf-8"))

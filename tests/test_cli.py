@@ -14,6 +14,7 @@ from adiasweep.config import (
     parse_config_file,
     sweep_config_from_settings,
 )
+from adiasweep.hamiltonians import MODELS
 from adiasweep.sweep import CSV_HEADER, cache_key, emit_json, load_or_run
 
 SMALL_SWEEP = [
@@ -168,7 +169,7 @@ def test_sweep_json_is_the_cache_file_byte_for_byte(tmp_path, monkeypatch, capsy
     miss, hit, uncached = (tmp_path / f"{name}.json" for name in ("miss", "hit", "uncached"))
     assert main(argv + ["--out", str(miss)]) == 0
     (stored,) = cache.glob("*.json")
-    # A hit copies the stored report: no estimate is computed again.
+    # A hit writes out the stored report: no estimate is computed again.
     with monkeypatch.context() as m:
         m.setattr(sweep, "sweep_metadata", None)
         assert main(argv + ["--out", str(hit)]) == 0
@@ -182,6 +183,44 @@ def test_sweep_json_is_the_cache_file_byte_for_byte(tmp_path, monkeypatch, capsy
     emitted = tmp_path / "emitted.json"
     emit_json(load_or_run(cfg, str(cache)), cfg, str(emitted))
     assert emitted.read_bytes() == text
+
+
+OUTPUT_REQUESTS = {
+    "csv": SMALL_SWEEP + ["--format", "csv"],
+    "uncached-json": SMALL_SWEEP + ["--format", "json", "--no-cache"],
+    "cached-json": SMALL_SWEEP + ["--format", "json"],
+    "schedule-dump": ["schedule-dump", "--points", "41"],
+}
+
+
+@pytest.mark.parametrize("prefill", ["longer", "shorter"])
+@pytest.mark.parametrize("name", OUTPUT_REQUESTS)
+def test_an_existing_output_is_overwritten_byte_for_byte(name, prefill, tmp_path, monkeypatch, capsys):
+    # Outputs are overwritten in place: a writer that did not cut the file to
+    # the new length would leave the tail of a longer old file behind.
+    argv = OUTPUT_REQUESTS[name]
+    if argv[0] == "sweep":
+        argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    expected = fresh.read_bytes()
+    size = 2 * len(expected) if prefill == "longer" else len(expected) // 2
+    existing.write_bytes(b"x" * size)
+    if "--no-cache" not in argv:
+        monkeypatch.setattr(sweep, "run_sweep", None)  # served from the cache
+    assert main(argv + ["--out", str(existing)]) == 0
+    assert existing.read_bytes() == expected
+
+
+@pytest.mark.parametrize("name", OUTPUT_REQUESTS)
+def test_output_to_a_device_exits_zero(name, tmp_path, capsys):
+    # /dev/null is no regular file: it is written but not cut to length.  A
+    # cached request runs twice, so both the miss and the hit write to it.
+    argv = OUTPUT_REQUESTS[name]
+    if argv[0] == "sweep":
+        argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert main(argv + ["--out", os.devnull]) == 0
 
 
 def test_uncached_json_sweep_computes_the_estimates_once(tmp_path, monkeypatch, capsys):
@@ -414,6 +453,14 @@ def test_exponential_pulse_has_no_reference_shortcut(capsys):
     assert "reference" not in capsys.readouterr().out
     cfg = sweep_config_from_settings(cli._settings(cli._build_parser().parse_args(["sweep"] + argv)))
     assert "reference_scaling" not in sweep.sweep_metadata(cfg)
+
+
+def test_estimate_header_names_an_order_only_for_a_rational_pulse(capsys):
+    for name, row in MODELS.items():
+        assert main(["estimate", "--model", name, "--k", "1e-2"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith(f"model={name} k=0.01 ")
+        assert (" order=1 " in header) == (row.pulse == "rational"), header
 
 
 def test_estimate_prints_nothing_before_a_numerical_failure(capsys):

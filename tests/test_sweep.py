@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adiasweep.hamiltonians import ModelSpec, build
+from adiasweep.hamiltonians import MODELS, ModelSpec, build
 from adiasweep.metrics import TypicalErrorConfig, switching_estimate
 from adiasweep import sweep
 from adiasweep.sweep import (
@@ -124,6 +124,28 @@ def test_cache_key_covers_every_field():
         assert cfg != base
         same = cache_key(cfg) == cache_key(base)
         assert same == (name == "workers"), f"{cls.__name__}.{name}"
+
+
+def test_a_model_without_a_rational_pulse_refuses_order_and_prefactor():
+    # Only the rational pulse reads the smoothing order and prefactor.  Any
+    # other pulse would build the default spec's path under another cache
+    # key, so a non-default value is refused; the default spec's key stays.
+    others = [name for name, row in MODELS.items() if row.pulse != "rational"]
+    assert others
+    for name in others:
+        for field, value in (("order", 3), ("prefactor", "as-printed")):
+            with pytest.raises(ValueError, match=f"does not read {field}"):
+                ModelSpec(name, k=1e-2, **{field: value})
+        ModelSpec(name, k=1e-2, order=1, prefactor="midpoint-normalized")  # the defaults pass
+    for name, row in MODELS.items():
+        if row.pulse == "rational":
+            ModelSpec(name, k=1e-2, order=3, prefactor="as-printed")
+    pinned = {
+        "two-level-exp": "d114bdd7e319b202e6c02ee95217b2e1a9ab26df54807937a5e339b74edf19f0",
+        "two-level": "90d16e9fc115f6579f7f5662b345e27fc3a8bd5db99280c97d6870bfe8595cfb",
+    }
+    for name, key in pinned.items():
+        assert cache_key(SweepConfig(ModelSpec(name, k=1e-2))) == key
 
 
 def test_cache_key_ignores_int_versus_float():

@@ -161,7 +161,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = sweep_config_from_settings(_settings(args))
     spec, est = cfg.model, estimates(cfg)
-    order = f" order={spec.order}" if MODELS[spec.model].pulse == "rational" else ""
+    order = f" order={spec.order}" if "order" in MODELS[spec.model].reads else ""
     print(f"model={spec.model} k={spec.k:g}{order} energies={spec.energy_values()}")
     print(f"{'n':>3} {'b_n(start)':>14} {'b_n(end)':>14} {'b_n':>14}")
     for order in cfg.estimate_orders:

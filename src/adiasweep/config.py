@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-from .hamiltonians import MODEL_NAMES, MODELS, ModelSpec
+from .hamiltonians import MODEL_NAMES, MODELS, PER_MODEL_FIELDS, ModelSpec
 from .metrics import REDUCTIONS, TypicalErrorConfig
 from .schedules import PREFACTOR_MODES
 from .sweep import SweepConfig
@@ -135,12 +135,10 @@ def model_spec_from_settings(settings: dict[str, object]) -> ModelSpec:
         raise ConfigError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
     row = MODELS[model]
     needed = tuple(row.energies)
-    # Keys the model does not read.  ModelSpec itself refuses k1..k3 and a
-    # non-default order or prefactor, but cannot tell a set default from an unset one.
-    not_read = [key for key in ENERGY_KEYS if key not in needed]
-    if row.pulse != "rational":
-        not_read += ["n", "prefactor"]
-    unread = [key for key in not_read if key in settings]
+    # Keys the model does not read, refused even when set to their default,
+    # which ModelSpec cannot tell from an unset field.
+    not_read = {*ENERGY_KEYS, *PER_MODEL_FIELDS} - row.reads
+    unread = [key for key in PARSERS if key in settings and _FIELD_NAMES.get(key, key) in not_read]
     if unread:
         raise ConfigError(f"model {model} does not read {', '.join(unread)}")
     energies = None

@@ -14,7 +14,10 @@ CF4 and RK4 propagators share.
 
 The builtin models are the rows of ``MODELS``: ``build``, ``ModelSpec``, the
 config keys and the sweep's reference shortcut all read them, and no code
-branches on a model's name.
+branches on a model's name or its pulse kind.  Which keys a model reads is
+said once, in ``Model.reads``: its energy names, k1..k3 if it has several
+couplings, and the fields its ``PULSES`` entry lists.  ``ModelSpec`` refuses
+an unread field off its default; the config refuses its key even at the default.
 """
 
 from __future__ import annotations
@@ -97,11 +100,14 @@ class HamiltonianPath:
         return float(sum(self.diagonal) / self.dim)
 
 
-# Coupling schedules by pulse kind, on one smoothing scale k; k = 0 gives the bare parabola.
+# Coupling schedules by pulse kind, on one smoothing scale k (k = 0 gives the bare parabola):
+# each builder, and the ModelSpec fields it takes by keyword besides k.
 PULSES = {
-    "rational": rational_pulse,
-    "exponential": lambda k, order, prefactor: ExponentialPulse(k) if k > 0.0 else Parabola(),
+    "rational": (rational_pulse, ("order", "prefactor")),
+    "exponential": (lambda k: ExponentialPulse(k) if k > 0.0 else Parabola(), ()),
 }
+# The ModelSpec fields a model may leave unread: the per-coupling scales and every pulse's own.
+PER_MODEL_FIELDS = ("k1", "k2", "k3", *dict.fromkeys(f for _, fs in PULSES.values() for f in fs))
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,12 @@ class Model:
     pulse: str = "rational"  # a kind of PULSES
     window: tuple[float, float] = (0.0, 1.0)  # the evolution window
     base: str | None = None  # the model whose k = 0 path this one deviates from, if not itself
+
+    @cached_property
+    def reads(self) -> frozenset[str]:
+        """Its energy names, k1..k3 if it has several couplings, and its pulse's fields."""
+        overrides = ("k1", "k2", "k3")[: len(self.couplings)] if len(self.couplings) > 1 else ()
+        return frozenset((*self.energies, *overrides, *PULSES[self.pulse][1]))
 
 
 _TWO_LEVEL = Model({"E0": 1.0, "E1": 1.0}, (0.0, "E0"), ((0, 1, "E1"),), (0,))
@@ -168,16 +180,9 @@ class ModelSpec:
             if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         row = MODELS[self.model]
-        # Fields the model does not read keep their defaults, so one path has
-        # one cache key.  k1..k3 override k coupling by coupling, and a
-        # one-coupling model reads k alone; only the rational pulse reads the
-        # smoothing order and prefactor.
-        overridden = len(row.couplings) if len(row.couplings) > 1 else 0
-        unread = ("k1", "k2", "k3")[overridden:]
-        if row.pulse != "rational":
-            unread += ("order", "prefactor")
-        for name in unread:
-            if getattr(self, name) != getattr(ModelSpec, name):
+        # Fields the model does not read keep their defaults, so one path has one cache key.
+        for name in PER_MODEL_FIELDS:
+            if name not in row.reads and getattr(self, name) != getattr(ModelSpec, name):
                 raise ValueError(f"model {self.model} does not read {name}")
         if self.energies is not None and len(self.energies) != len(row.energies):
             raise ValueError(f"model {self.model} takes {tuple(row.energies)}, got {self.energies}")
@@ -218,8 +223,10 @@ def build(spec: ModelSpec) -> HamiltonianPath:
     row = MODELS[spec.model]
     energy = dict(zip(row.energies, spec.energy_values()))
     diagonal = tuple(energy[d] if isinstance(d, str) else d for d in row.diagonal)
+    pulse, fields = PULSES[row.pulse]
+    options = {name: getattr(spec, name) for name in fields}
     couplings = tuple(
-        Coupling(i, j, energy[name], PULSES[row.pulse](k, spec.order, spec.prefactor))
+        Coupling(i, j, energy[name], pulse(k, **options))
         for (i, j, name), k in zip(row.couplings, spec.k_values())
         if energy[name] != 0.0
     )

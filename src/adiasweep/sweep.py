@@ -215,7 +215,7 @@ class Estimates:
 def estimates(cfg: SweepConfig) -> Estimates:
     """Every estimate of ``cfg``, from one walk over the window's ends per path."""
     m, window = cfg.model, cfg.window()
-    shortcut = m.k > 0.0 and MODELS[m.model].pulse == "rational"
+    shortcut = m.k > 0.0 and "order" in MODELS[m.model].reads
     orders = tuple(sorted({1, 2, *cfg.estimate_orders, *((m.order + 1,) if shortcut else ())}))
     own = dict(zip(orders, switching_estimates(build(m), orders, window)))
     fallback = not own[1].coefficient > _ZERO_COEFFICIENT
@@ -270,10 +270,6 @@ def compute_sweep_point(
     )
 
 
-def _point_task(args: tuple[SweepConfig, float, float, float]) -> SweepRecord:
-    return compute_sweep_point(*args)
-
-
 def _fill_slopes(records: list[SweepRecord]) -> list[SweepRecord]:
     usable = [
         i
@@ -297,15 +293,14 @@ def run_sweep(cfg: SweepConfig, est: Estimates | None = None) -> list[SweepRecor
     est = estimates(cfg) if est is None else est
     tasks = [(cfg, t, est.order1.coefficient, est.own[2].coefficient) for t in t_grid(cfg)]
     if cfg.workers == 1:
-        records = [_point_task(task) for task in tasks]
+        records = [compute_sweep_point(*task) for task in tasks]
     else:
         # Imported here: it is about a tenth of the CLI's import time, and a
         # single worker never needs it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_point_task, tasks))
-    records.sort(key=lambda r: r.t)
+            records = list(pool.map(compute_sweep_point, *zip(*tasks)))
     return _fill_slopes(records)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from adiasweep import acceptance, cli, metrics, sweep
+from adiasweep import acceptance, cli, hamiltonians, metrics, sweep
 from adiasweep.cli import main
 from adiasweep.config import (
     PARSERS,
@@ -14,7 +15,7 @@ from adiasweep.config import (
     parse_config_file,
     sweep_config_from_settings,
 )
-from adiasweep.hamiltonians import MODELS
+from adiasweep.hamiltonians import MODELS, ModelSpec
 from adiasweep.sweep import CSV_HEADER, cache_key, emit_json, load_or_run
 
 SMALL_SWEEP = [
@@ -366,13 +367,21 @@ def test_sweep_rejects_malformed_values(flags, file_text, tmp_path, monkeypatch,
         (["--model", "two-level", "--k", "1e-3", "--k2", "0.5"], "k2"),
         (["--model", "two-level-exp", "--k", "1e-2", "--n", "3"], "n"),
         (["--model", "two-level-exp", "--k", "1e-2", "--prefactor", "as-printed"], "prefactor"),
+        (["--model", "two-level-exp", "--k", "1e-3", "--n", "1"], "n"),
+        (["--model", "two-level-exp", "--k", "1e-3", "--prefactor", "midpoint-normalized"],
+         "prefactor"),
     ],
-    ids=["E0-three-level", "E3-two-level", "k2-two-level", "n-exponential", "prefactor-exponential"],
+    ids=[
+        "E0-three-level", "E3-two-level", "k2-two-level", "n-exponential", "prefactor-exponential",
+        "default-n-exponential", "default-prefactor-exponential",
+    ],
 )
 def test_model_keys_the_model_does_not_read_are_refused(
     command, flags, key, tmp_path, monkeypatch, capsys
 ):
     # Each key would otherwise be ignored; a set k2 would also move the cache key.
+    # A key set to its default reaches ModelSpec as an unset field, so only
+    # the config layer can refuse it.
     def no_run(*args, **kwargs):
         raise AssertionError("rejected input must not reach the sweep")
 
@@ -382,6 +391,39 @@ def test_model_keys_the_model_does_not_read_are_refused(
     out, err = capsys.readouterr()
     assert err.startswith("configuration error:") and f"does not read {key}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_model_refuses_exactly_the_fields_it_does_not_read(model):
+    # One rule, the row's read set, for ModelSpec and the config alike, so a
+    # row added later is covered here.  k1..k3 are read by a model with
+    # several couplings, one per coupling; order and prefactor by a pulse
+    # whose builder takes them.
+    row = MODELS[model]
+    pulse_builder = hamiltonians.PULSES[row.pulse][0]
+    builder_params = inspect.signature(pulse_builder).parameters
+    overrides = len(row.couplings) if len(row.couplings) > 1 else 0
+    cases = {
+        # field: (read?, non-default value, settings key, value set in the config)
+        "k1": (overrides >= 1, 1e-3, "k1", 1e-3),
+        "k2": (overrides >= 2, 1e-3, "k2", 1e-3),
+        "k3": (overrides >= 3, 1e-3, "k3", 1e-3),
+        "order": ("order" in builder_params, 3, "n", 1),
+        "prefactor": ("prefactor" in builder_params, "as-printed", "prefactor",
+                      "midpoint-normalized"),
+    }
+    assert set(cases) == set(hamiltonians.PER_MODEL_FIELDS)
+    for field, (read, value, key, setting) in cases.items():
+        assert (field in row.reads) == read, field
+        settings = {"model": model, "k": 1e-3, key: setting}
+        if read:
+            ModelSpec(model, k=1e-3, **{field: value})
+            sweep_config_from_settings(settings)
+            continue
+        with pytest.raises(ValueError, match=f"model {model} does not read {field}$"):
+            ModelSpec(model, k=1e-3, **{field: value})
+        with pytest.raises(ConfigError, match=f"model {model} does not read {key}$"):
+            sweep_config_from_settings(settings)
 
 
 def test_settings_with_an_unknown_model_are_a_configuration_error():

@@ -7,6 +7,7 @@ import pytest
 import adiasweep
 from adiasweep.hamiltonians import (
     MODEL_NAMES,
+    PULSES,
     Coupling,
     HamiltonianPath,
     ModelSpec,
@@ -180,6 +181,34 @@ def test_no_code_compares_against_a_model_name():
                 for sub in ast.walk(operand):
                     if isinstance(sub, ast.Constant) and sub.value in MODEL_NAMES:
                         found.add(f"{path.name}:{node.lineno}")
+    assert not found, sorted(found)
+
+
+def test_no_code_outside_hamiltonians_reads_a_pulse_kind():
+    # Which fields a pulse reads is said by its PULSES entry and asked of a
+    # row through Model.reads.  Reading a row's pulse or comparing with a
+    # pulse kind elsewhere is a second copy of that rule.  schedule-dump's
+    # --family names schedule families, some of which share a pulse kind's
+    # name, and no model's pulse.
+    found = set()
+    for path in sorted(pathlib.Path(adiasweep.__file__).parent.glob("*.py")):
+        if path.name == "hamiltonians.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        families = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "_cmd_schedule_dump"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "pulse":
+                found.add(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Compare) and id(node) not in families:
+                for operand in (node.left, *node.comparators):
+                    for sub in ast.walk(operand):
+                        if isinstance(sub, ast.Constant) and sub.value in PULSES:
+                            found.add(f"{path.name}:{node.lineno}")
     assert not found, sorted(found)
 
 

@@ -131,6 +131,21 @@ def _check_paths(out_path: str | None, cache_dir: str | None) -> None:
         raise ConfigError(f"cache directory {cache_dir!r}: {existing!r} is not a directory")
 
 
+def _status_file(out_path: str):
+    """Where the line reporting a write to ``out_path`` goes: stderr if it is stdout's own file.
+
+    ``--out /dev/stdout > file`` writes the output through a second open of
+    the file, at offset 0, and fd 1's offset stays at 0, so a status line on
+    stdout would overwrite the output's head.  Any other output keeps the
+    line on stdout.
+    """
+    try:
+        out, own = os.stat(out_path), os.fstat(1)
+    except OSError:
+        return sys.stdout
+    return sys.stderr if (out.st_dev, out.st_ino) == (own.st_dev, own.st_ino) else sys.stdout
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     settings = _settings(args)
     cfg = sweep_config_from_settings(settings)
@@ -152,7 +167,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         emit_json(records, cfg, out_path, est=est)
     failed = [r for r in records if not r.ok]
-    print(f"wrote {len(records)} records to {out_path} ({len(failed)} failed points)")
+    print(
+        f"wrote {len(records)} records to {out_path} ({len(failed)} failed points)",
+        file=_status_file(out_path),
+    )
     if failed:
         print(f"numerical failure: T={failed[0].t:g}: {failed[0].error}", file=sys.stderr)
     return 2 if failed else 0
@@ -200,7 +218,7 @@ def _cmd_schedule_dump(args: argparse.Namespace) -> int:
         s = i / (args.points - 1)
         lines.append(f"{s!r},{sched.value(s)!r},{sched.taylor(s, 1)[1]!r}")
     write_output(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"wrote {args.points} samples to {args.out}")
+    print(f"wrote {args.points} samples to {args.out}", file=_status_file(args.out))
     return 0
 
 

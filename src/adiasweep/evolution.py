@@ -13,9 +13,17 @@ so a cell is unitary by construction and exact when H is frozen.  The
 eigensystem of B does not depend on t: the batched ``np.linalg.eigh`` that
 estimates a block of cells serves every member of a batch of total times.  A
 member only adds its own phases exp(-i*t*h*(lambda - lambda_0)), relative to
-each exponential's lowest level, and the real d x d basis changes between
-consecutive eigenbases act on all members' (d, n) coefficients at once; the
-common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.  The
+each exponential's lowest level; the real d x d basis changes
+V_{e+1}^T V_e between consecutive eigenbases are shared by all members.  A
+block of m cells is propagated by a blocked scan: its 2m exponentials are cut
+into G groups of L = ceil(sqrt(2m)) consecutive ones, and the L steps run
+once for all groups together: the first group starts from the block's state,
+the others from the identity.  A step is one
+phase multiply over every group's members and one real product of the
+groups' basis changes with the float view of their coefficients.  The G
+group propagators are then multiplied pairwise, so a block costs about
+2*sqrt(2m) numpy calls plus a few per halving of G, not two per exponential.
+The common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.  The
 members after the first split into runs at every descent in t.  A run
 evenly spaced in t, as each window of a ``measure_errors`` batch is, takes
 its phases from a coarse x fine table of its own: about 2*sqrt(n) complex
@@ -452,35 +460,75 @@ class _Phases:
         return out[..., : t.shape[0]]
 
 
+def _mul_groups(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-member products a @ b of arrays laid out (rows, groups, columns, members).
+
+    As ``_mul``, a sum of broadcast products over the inner index, which here
+    is the leading axis of ``b``.
+    """
+    out = a[:, :, :1] * b[:1]
+    for k in range(1, a.shape[0]):
+        out += a[:, :, k : k + 1] * b[k : k + 1]
+    return out
+
+
 def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
     """Apply a block of CF4 cells to the blocks y (n, d, k) of the total times ``members.t_values``.
 
-    Each member's block holds k column states.  ``members`` builds every
-    exponential's phases for all members at once.
+    Each member's block holds k <= d column states.  ``members`` builds every
+    exponential's phases for all members at once.  The block's 2m
+    exponentials are cut into consecutive groups of ``steps`` =
+    ceil(sqrt(2m)); the last group is padded with identity basis changes and
+    zero rates, whose phases are 1.  All groups take their ``steps`` steps
+    together, the first from y and the others from the identity, and the
+    group propagators are then multiplied pairwise: about 2*sqrt(2m) numpy
+    calls in the loop and a few per halving of the group count.
     """
     m2 = 2 * h.shape[0]
     n, dim, k = y.shape
+    steps = math.isqrt(m2 - 1) + 1  # ceil(sqrt(m2))
+    groups = -(-m2 // steps)
+    slots = groups * steps
     lam = lam.reshape(m2, dim)
-    vec = vec.reshape(m2, dim, dim)
     widths = np.repeat(h, 2)
-    # phases[e, level - 1, member, 0] of exponential e in the eigenbasis of
-    # its B, relative to its lowest level; the common phase is restored at the end.
-    phases = members(widths[:, None] * (lam[:, 1:] - lam[:, :1]))[..., None]
-    # Real basis changes V_{e+1}^T V_e act on the float view of the
-    # (levels, members * columns) coefficients, whose (re, im) pairs share each entry.
-    changes = vec[1:].swapaxes(1, 2) @ vec[:-1]
-    c = vec[0].T @ y.transpose(1, 0, 2).reshape(dim, n * k)
-    out = np.empty_like(c)
-    c_f, out_f = c.view(float), out.view(float)
-    c_up, out_up = c[1:].reshape(dim - 1, n, k), out[1:].reshape(dim - 1, n, k)
+    # phases[j, level - 1, g, 0, member] of exponential g*steps + j in the eigenbasis
+    # of its B, relative to its lowest level; the common phase is restored at the end.
+    rates = np.zeros((groups, steps, dim - 1))
+    rates.reshape(slots, dim - 1)[:m2] = widths[:, None] * (lam[:, 1:] - lam[:, :1])
+    phases = members(rates.transpose(1, 2, 0))[:, :, :, None]
+    # changes[j, g] = V_{e+1}^T V_e of exponential e = g*steps + j, real and
+    # shared by the members: the last exponential's is V_e itself, the padding's I.
+    basis = np.empty((slots + 1, dim, dim))
+    basis[:m2] = vec.reshape(m2, dim, dim)
+    basis[m2:] = np.eye(dim)
+    changes = np.matmul(
+        basis[1:].reshape(groups, steps, dim, dim).transpose(1, 0, 3, 2),
+        basis[:-1].reshape(groups, steps, dim, dim).transpose(1, 0, 2, 3),
+    )
+    # Group states x[level, g, column, member]: the first group starts from
+    # V_0^T y, zero-padded to d columns, the others from the identity.  The
+    # member axis is innermost, so each step's phase multiply runs over
+    # contiguous members, and a group's (levels, columns * members) float view
+    # takes the basis change as one real product.
+    x = np.empty((dim, groups, dim, n), dtype=complex)
+    x[:, 1:] = np.eye(dim)[:, None, :, None]
+    x[:, 0, :k] = (basis[0].T @ y.transpose(1, 2, 0).reshape(dim, k * n)).reshape(dim, k, n)
+    x[:, 0, k:] = 0.0
+    out = np.empty_like(x)
+    x_f, out_f = (a.view(float).reshape(dim, groups, -1).transpose(1, 0, 2) for a in (x, out))
+    x_up, out_up = x[1:], out[1:]
     for phase, change in zip(phases, changes):
-        c_up *= phase
-        change.dot(c_f, out=out_f)
-        c_f, out_f, c_up, out_up = out_f, c_f, out_up, c_up
-    c_up *= phases[-1]
+        x_up *= phase
+        np.matmul(change, x_f, out=out_f)
+        x_f, out_f, x_up, out_up = out_f, x_f, out_up, x_up
+    # The group propagators, in the buffer the last step wrote, multiplied
+    # pairwise with later groups on the left.
+    u = out if steps % 2 else x
+    while u.shape[1] > 1:
+        even = u.shape[1] & ~1
+        u = np.concatenate((_mul_groups(u[:, 1:even:2], u[:, 0:even:2]), u[:, even:]), axis=1)
     common = np.exp(-1j * np.dot(widths, lam[:, 0]) * members.t_values)
-    y = (vec[-1] @ c_f.view(complex)).reshape(dim, n, k) * common[:, None]
-    return y.transpose(1, 0, 2)
+    return (u[:, 0, :k] * common).transpose(2, 0, 1)
 
 
 def _propagate(

@@ -76,7 +76,9 @@ SCHEMA_VERSION = 1
 # 10: the switching estimates are taken at the ends of the sweep's window, not
 # at s=0 and s=1, which moves eps_bar_1, ratio1 and the order-1 block of
 # two-level-exp by about 2e-6 relative and every estimate of a narrowed window.
-NUMERICS_VERSION = 10
+# 11: each CF4 block is propagated by a blocked scan whose group propagators
+# are multiplied pairwise, which moves records by about 1e-13 relative.
+NUMERICS_VERSION = 11
 
 CSV_HEADER = "T,eps,eps_bar_T,eps_bar_1,eps_bar_2,ratio1,ratio2,epsT2,slope,norm_drift"
 

@@ -70,7 +70,7 @@ def test_cache_key_of_a_file_plus_flags_is_pinned(tmp_path):
     assert sweep_cfg.model.energies == (1.5, 0.75, 2.0)
     assert sweep_cfg.estimate_orders == (2, 1, 3)
     assert sweep_cfg.workers == 3
-    assert cache_key(sweep_cfg) == "130c92571613d3eae08f65c821e4631fe3654d512acc994e887c37ce04b9a061"
+    assert cache_key(sweep_cfg) == "162f8e36fbff646a0e0c79419cf3ef95faaf4859b460135a5efd1ba6b61e6272"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -702,3 +702,34 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
         timeout=60,
     )
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["schedule-dump", "--points", "3"], "wrote 3 samples to "),
+        (SMALL_SWEEP + ["--tmax", "15", "--no-cache"], "wrote 1 records to "),
+    ],
+    ids=["schedule-dump", "sweep"],
+)
+def test_output_to_a_redirected_stdout_is_whole(argv, status, tmp_path):
+    # --out /dev/stdout > f opens f a second time at offset 0; the status line
+    # goes to stderr then, or it would overwrite the head of the output
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+    def run(out, stdout):
+        with open(stdout, "wb") as fh:
+            done = subprocess.run(
+                [sys.executable, "-m", "adiasweep.cli", *argv, "--out", out],
+                env=env, cwd=tmp_path, stdout=fh, stderr=subprocess.PIPE, timeout=120,
+            )
+        assert done.returncode == 0
+        return done.stderr.decode()
+
+    assert run(str(tmp_path / "regular"), tmp_path / "regular.log") == ""
+    assert (tmp_path / "regular.log").read_text().startswith(status + str(tmp_path / "regular"))
+    err = run("/dev/stdout", tmp_path / "redirected")
+    assert err.startswith(status + "/dev/stdout")
+    expected = (tmp_path / "regular").read_bytes()
+    assert expected.count(b"\n") >= 2
+    assert (tmp_path / "redirected").read_bytes() == expected

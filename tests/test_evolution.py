@@ -496,7 +496,10 @@ def test_local_error_estimate_is_calibrated(spec, t, tol):
 
 
 def _dense_cells(h, lam, vec, t):
-    """Product of the cells (h, lam, vec) at total time t, one exponential at a time."""
+    """Product of the cells (h, lam, vec) at total time t, one exponential at a time.
+
+    A t of shape (n, 1, 1) gives the stack of n products.
+    """
     u = np.eye(vec.shape[-1], dtype=complex)
     for c in range(h.shape[0]):
         for e in range(2):  # the first exponential of a cell acts first
@@ -538,6 +541,26 @@ def test_advance_matches_dense_cell_product(dim):
     assert got.shape == (n, dim, 1)
     for i, t in enumerate(t_values):
         assert np.max(np.abs(got[i] - _dense_cells(h, lam, vec, t) @ y[i])) < 1e-13
+    # blocks of 1 to 2 * _GROUP_CELLS cells, cut into groups of ceil(sqrt(2m))
+    # exponentials, the last group padded at 5, 37 and 256 cells; a single
+    # member and a 129-member window batch; blocks of one and of dim columns.
+    # Cells are at most 1/(4t) wide: wider ones, over 512 exponentials, sum to
+    # phases whose rounding alone reaches the bound, however the chain runs.
+    batch = np.concatenate(([3e4], window_samples(3e4, TypicalErrorConfig(samples=128))))
+    for cells in (1, 2, 5, 37, 128, 2 * evolution._GROUP_CELLS):
+        for t_values, h_max in ((np.array([700.0]), 0.25 / 700.0), (batch, 0.25 / 3e4)):
+            members = evolution._Phases(t_values)
+            b = rng.normal(size=(cells, 2, dim, dim))
+            lam, vec = np.linalg.eigh(b + b.swapaxes(-1, -2))
+            h = rng.uniform(0.25 * h_max, h_max, size=cells)
+            n = t_values.shape[0]
+            dense = _dense_cells(h, lam, vec, t_values[:, None, None])
+            for k in (1, dim):
+                y = rng.normal(size=(n, dim, k)) + 1j * rng.normal(size=(n, dim, k))
+                y /= np.linalg.norm(y, axis=1)[:, None]
+                got = evolution._advance(y, h, lam, vec, members)
+                assert got.shape == (n, dim, k)
+                assert np.max(np.abs(got - dense @ y)) < 1e-13
 
 
 def _undeclared(path):

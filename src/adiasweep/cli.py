@@ -118,8 +118,11 @@ def _check_paths(out_path: str | None, cache_dir: str | None) -> None:
 
     ``None`` skips that check.
     """
+    # The directory as open() resolves it: "" and "dir/" name no file.
     if out_path is not None and (
-        os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(os.path.abspath(out_path)))
+        not os.path.basename(out_path)
+        or os.path.isdir(out_path)
+        or not os.path.isdir(os.path.dirname(out_path) or os.curdir)
     ):
         raise ConfigError(f"cannot write {out_path!r}: not a file in an existing directory")
     if cache_dir is None:

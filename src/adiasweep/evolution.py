@@ -21,8 +21,9 @@ once for all groups together: the first group starts from the block's state,
 the others from the identity.  A step is one
 phase multiply over every group's members and one real product of the
 groups' basis changes with the float view of their coefficients.  The G
-group propagators are then multiplied pairwise, so a block costs about
-2*sqrt(2m) numpy calls plus a few per halving of G, not two per exponential.
+group propagators are then multiplied pairwise by ``_mul``, the one stacked
+product helper, so a block costs about 2*sqrt(2m) numpy calls plus a few per
+halving of G, not two per exponential.
 The common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.  The
 members after the first split into runs at every descent in t.  A run
 evenly spaced in t, as each window of a ``measure_errors`` batch is, takes
@@ -460,18 +461,6 @@ class _Phases:
         return out[..., : t.shape[0]]
 
 
-def _mul_groups(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-member products a @ b of arrays laid out (rows, groups, columns, members).
-
-    As ``_mul``, a sum of broadcast products over the inner index, which here
-    is the leading axis of ``b``.
-    """
-    out = a[:, :, :1] * b[:1]
-    for k in range(1, a.shape[0]):
-        out += a[:, :, k : k + 1] * b[k : k + 1]
-    return out
-
-
 def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
     """Apply a block of CF4 cells to the blocks y (n, d, k) of the total times ``members.t_values``.
 
@@ -481,8 +470,9 @@ def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
     ceil(sqrt(2m)); the last group is padded with identity basis changes and
     zero rates, whose phases are 1.  All groups take their ``steps`` steps
     together, the first from y and the others from the identity, and the
-    group propagators are then multiplied pairwise: about 2*sqrt(2m) numpy
-    calls in the loop and a few per halving of the group count.
+    group propagators are then multiplied pairwise with ``_mul``, later groups
+    on the left: about 2*sqrt(2m) numpy calls in the loop and a few per
+    halving of the group count.
     """
     m2 = 2 * h.shape[0]
     n, dim, k = y.shape
@@ -521,14 +511,15 @@ def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
         x_up *= phase
         np.matmul(change, x_f, out=out_f)
         x_f, out_f, x_up, out_up = out_f, x_f, out_up, x_up
-    # The group propagators, in the buffer the last step wrote, multiplied
-    # pairwise with later groups on the left.
-    u = out if steps % 2 else x
-    while u.shape[1] > 1:
-        even = u.shape[1] & ~1
-        u = np.concatenate((_mul_groups(u[:, 1:even:2], u[:, 0:even:2]), u[:, even:]), axis=1)
+    # The group propagators, in the buffer the last step wrote, viewed as
+    # (groups, members, levels, columns) and multiplied pairwise with later
+    # groups on the left.
+    u = (out if steps % 2 else x).transpose(1, 3, 0, 2)
+    while u.shape[0] > 1:
+        even = u.shape[0] & ~1
+        u = np.concatenate((_mul(u[1:even:2], u[0:even:2]), u[even:]))
     common = np.exp(-1j * np.dot(widths, lam[:, 0]) * members.t_values)
-    return (u[:, 0, :k] * common).transpose(2, 0, 1)
+    return u[0, :, :, :k] * common[:, None, None]
 
 
 def _propagate(
@@ -578,16 +569,13 @@ def _propagate(
 
 
 def evolve(path: HamiltonianPath, cfg: EvolutionConfig, psi0: np.ndarray) -> EvolutionResult:
-    """Propagate one state over the configured window.
+    """Propagate one state over the configured window: ``evolve_many`` of the one total time.
 
     Deterministic for fixed inputs; raises EvolutionFailure when the cell
     limit is hit, a local error estimate is not finite, or the final norm
     drift exceeds the trust threshold.
     """
-    psi = _check_normalized(psi0, path.dim)
-    if cfg.t_total == 0.0:
-        return EvolutionResult(psi.copy(), 0.0, 0, 0)
-    batch = _propagate(path, np.array([cfg.t_total]), psi, cfg)
+    batch = evolve_many(path, cfg, np.array([cfg.t_total]), psi0)
     return EvolutionResult(
         batch.final_states[0], float(batch.norm_drifts[0]), batch.steps_taken, batch.rejected_steps
     )

@@ -324,9 +324,9 @@ def decade_slope(ts: np.ndarray, values: np.ndarray, t_lo: float, t_hi: float) -
 SQRT2_BOUND_SLACK = 0.02
 
 
-def sqrt2_bound_check(eps: float, eps_bar: float, slack: float = SQRT2_BOUND_SLACK) -> bool:
-    """True iff eps <= sqrt(2) * eps_bar * (1 + slack)."""
-    return eps <= math.sqrt(2.0) * eps_bar * (1.0 + slack)
+def sqrt2_bound_check(eps: float, eps_bar: float) -> bool:
+    """True iff eps <= sqrt(2) * eps_bar * (1 + SQRT2_BOUND_SLACK)."""
+    return eps <= math.sqrt(2.0) * eps_bar * (1.0 + SQRT2_BOUND_SLACK)
 
 
 def crossover_time(

@@ -308,6 +308,21 @@ def test_sweep_rejects_unwritable_output_path(out, tmp_path, monkeypatch, capsys
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("out", ["", "newdir/"], ids=["empty", "trailing-slash"])
+@pytest.mark.parametrize("command", ["sweep", "schedule-dump"])
+def test_an_output_path_that_names_no_file_is_refused_before_any_work(
+    command, out, tmp_path, monkeypatch, capsys
+):
+    _forbid_run_sweep(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    argv = SMALL_SWEEP + ["--no-cache"] if command == "sweep" else ["schedule-dump"]
+    assert main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "not a file in an existing directory" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
 def test_sweep_rejects_cache_dir_that_is_a_file(below, tmp_path, monkeypatch, capsys):
     _forbid_run_sweep(monkeypatch)

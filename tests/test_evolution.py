@@ -16,7 +16,7 @@ from adiasweep.evolution import (
 )
 from adiasweep.hamiltonians import MODEL_NAMES, Coupling, HamiltonianPath, ModelSpec, build
 from adiasweep.metrics import TypicalErrorConfig, true_error, window_samples
-from adiasweep.schedules import Parabola, PowerRamp, Schedule, rational_pulse
+from adiasweep.schedules import Parabola, PowerRamp, Product, Schedule, rational_pulse
 
 TWO_LEVEL = build(ModelSpec("two-level", k=0.0))
 
@@ -608,6 +608,35 @@ def test_mirror_path_agrees_with_whole_window(spec):
         eps = true_error(mirrored.final_state, g_end)
         assert abs(eps - true_error(reference.final_state, g_end)) < 1e-9
         assert mirrored.steps_taken <= 0.55 * reference.steps_taken
+
+
+def _three_level_ramps(flip: bool) -> HamiltonianPath:
+    """A path no builtin covers, with no mirror symmetry; ``flip`` gives its reflection H(1-s)."""
+
+    def ramp(k, n, reflected=False):
+        return Product((Parabola(), PowerRamp(k, n, reflected=reflected != flip)))
+
+    couplings = (
+        Coupling(0, 1, 1.0, ramp(0.05, 2)),
+        Coupling(1, 2, 0.7, ramp(0.2, 1, reflected=True)),
+        Coupling(0, 2, 0.4, Parabola()),
+    )
+    return HamiltonianPath(3, (0.0, 1.0, 2.5), couplings)
+
+
+def test_reflected_path_has_the_same_error():
+    # Running a real symmetric H(s) backwards transposes its propagator, so
+    # H(1-s) prepares its ground state with the error of H(s); both paths take
+    # the whole window
+    path, reflected = _three_level_ramps(False), _three_level_ramps(True)
+    assert not path.mirror_symmetric() and not reflected.mirror_symmetric()
+    for t in (50.0, 300.0):
+        cfg = EvolutionConfig(t_total=t, rtol=5e-14, atol=5e-14)
+        eps = [
+            true_error(evolve(p, cfg, ground_state(p, 0.0)).final_state, ground_state(p, 1.0))
+            for p in (path, reflected)
+        ]
+        assert abs(eps[0] - eps[1]) <= 1e-9 * eps[0]
 
 
 def test_asymmetric_window_takes_the_whole_window():

@@ -1,5 +1,6 @@
 """The benchmark's tracer patches adiasweep names; renaming one must fail here."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -10,7 +11,8 @@ import numpy as np
 from adiasweep import acceptance, evolution, hamiltonians, schedules
 from adiasweep.schedules import Parabola, rational_pulse
 
-TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING_PY = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing(monkeypatch):
@@ -55,3 +57,37 @@ def test_instrument_then_restore_puts_originals_back(monkeypatch):
         changed = [k for k in attrs.keys() | after[owner].keys() if attrs.get(k) is not after[owner].get(k)]
         assert not changed, (owner, changed)
     assert criteria_after == criteria
+
+
+def _unread_imports(source: str) -> set[str]:
+    """Names a module binds by a module-level import and never reads."""
+    tree = ast.parse(source)
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_every_unread_import_is_a_tracer_site(monkeypatch):
+    # An import its module never reads is dead code unless the tracer patches
+    # it there.  These four go with their tracer sites; no other may land.
+    # The package's __init__ imports are its public names.
+    tracing = _load_tracing(monkeypatch)
+    patched = {(module, attr) for module, attr, _ in tracing.FUNCTION_SITES}
+    unread = {
+        (f"adiasweep.{path.stem}", name)
+        for path in sorted((ROOT / "src" / "adiasweep").glob("*.py"))
+        if path.stem != "__init__"
+        for name in _unread_imports(path.read_text(encoding="utf-8"))
+    }
+    assert unread <= patched, sorted(unread - patched)
+    assert unread == {
+        ("adiasweep.cli", "build"),
+        ("adiasweep.cli", "switching_estimate"),
+        ("adiasweep.cli", "reference_scaling_estimate"),
+        ("adiasweep.sweep", "reference_scaling_estimate"),
+    }

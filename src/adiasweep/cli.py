@@ -13,7 +13,9 @@ out in full, and read one ``SweepConfig``.  estimate prints what
 computes everything before it prints, so a numerical failure leaves no
 partial table.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure.  An
+output or cache that cannot be opened or written (an ``OSError``) is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EvolutionFailure, DegenerateGapError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -18,12 +18,14 @@ V_{e+1}^T V_e between consecutive eigenbases are shared by all members.  A
 block of m cells is propagated by a blocked scan: its 2m exponentials are cut
 into G groups of L = ceil(sqrt(2m)) consecutive ones, and the L steps run
 once for all groups together: the first group starts from the block's state,
-the others from the identity.  A step is one
-phase multiply over every group's members and one real product of the
-groups' basis changes with the float view of their coefficients.  The G
-group propagators are then multiplied pairwise by ``_mul``, the one stacked
-product helper, so a block costs about 2*sqrt(2m) numpy calls plus a few per
-halving of G, not two per exponential.
+the others from the identity.  A step is one phase multiply over every
+group's members and one real product of the groups' basis changes with the
+float view of their coefficients.  The G group propagators are then
+multiplied pairwise by ``_mul``, so a block costs about 2*sqrt(2m) numpy
+calls plus a few per halving of G, not two per exponential.  ``_mul``, the
+one stacked small-matrix product, also serves the mesh estimate and RK4.  It
+takes the matrix axes first and the stack last, so that each broadcast
+multiply is one numpy loop over the contiguous stack, not over a matrix row.
 The common phase exp(-i*t*sum(h*lambda_0)) is restored once per block.  The
 members after the first split into runs at every descent in t.  A run
 evenly spaced in t, as each window of a ``measure_errors`` batch is, takes
@@ -258,14 +260,14 @@ def fast_value(sched: Schedule):
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked tiny products a @ b, summed term by term over the inner index.
+    """Stacked tiny products out[i, j, ...] = sum_k a[i, k, ...] b[k, j, ...], in order of k.
 
-    Stacked complex ``@`` makes one BLAS call per matrix, several times the
-    cost of these few broadcast products for 2x2 and 3x3 factors.
+    Matrix axes first: each broadcast multiply is one numpy loop over the
+    trailing stack, where stacked complex ``@`` makes a BLAS call per matrix.
     """
-    out = a[..., :, :1] * b[..., :1, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    out = a[:, :1] * b[:1]
+    for k in range(1, a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1]
     return out
 
 
@@ -274,10 +276,10 @@ class _Mesh:
 
     The edges it refines mark off pairs of cells; a pair is accepted when its
     two cells' summed local error, estimated by step doubling, is within
-    ``2 * tol``.  ``window`` and ``cells``
-    yield accepted cells, the halves of the accepted pairs, left to right as
-    blocks ``(h, lam, vec)``: widths (m,), and the eigenvalues (m, 2, d) and
-    eigenvectors (m, 2, d, d) of each cell's two exponent matrices.
+    ``2 * tol``.  ``window`` and ``cells`` yield accepted cells, the halves of
+    the accepted pairs, left to right as blocks ``(h, lam, vec)``: widths
+    (m,), and the eigenvalues (m, 2, d) and eigenvectors (m, 2, d, d) of each
+    cell's two exponent matrices.
     ``estimated`` counts every half cell whose error was estimated.
     ``stack`` maps an array of s to the stack of H(s) - c*I, as ``path.evaluate``.
     """
@@ -300,19 +302,18 @@ class _Mesh:
         starts = np.stack((a, a, a + 0.5 * h), axis=1)
         widths = np.stack((h, 0.5 * h, 0.5 * h), axis=1)
         hs = self.stack(starts[..., None] + widths[..., None] * _NODES)
-        b = np.stack(
-            (_W0 * hs[..., 0, :, :] + _W1 * hs[..., 1, :, :],
-             _W1 * hs[..., 0, :, :] + _W0 * hs[..., 1, :, :]),
-            axis=2,
-        )
+        h0, h1 = hs[..., 0, :, :], hs[..., 1, :, :]
+        b = np.stack((_W0 * h0 + _W1 * h1, _W1 * h0 + _W0 * h1), axis=2)
         lam, vec = np.linalg.eigh(b)
-        phase = np.exp((-1j * self.t_max) * widths[..., None, None] * lam)
-        e = _mul(vec * phase[..., None, :], vec.swapaxes(-1, -2))
-        # cell propagators of the full pair, its left half and its right half
-        cell = _mul(e[:, :, 1], e[:, :, 0])
-        half = _mul(cell[:, 2], cell[:, 1])
-        err = _HALF_SHARE * np.sqrt(np.sum(np.abs(cell[:, 0] - half) ** 2, axis=(-2, -1)))
         m, dim = h.shape[0], lam.shape[-1]
+        v = np.ascontiguousarray(np.moveaxis(vec, (-2, -1), (0, 1)))  # (d, d, m, 3, 2)
+        phase = np.exp((-1j * self.t_max) * widths[..., None] * np.moveaxis(lam, -1, 0))
+        e = _mul(v * phase, v.swapaxes(0, 1))
+        # cell propagators of the full pair, its left half and its right half
+        cell = _mul(e[..., 1], e[..., 0])
+        half = _mul(cell[..., 2], cell[..., 1])
+        sq = (np.abs(cell[..., 0] - half) ** 2).reshape(dim * dim, m).T.copy()
+        err = _HALF_SHARE * np.sqrt(np.sum(sq, axis=-1))  # summed in (m, d, d) order
         self.estimated += 2 * m
         if not np.all(np.isfinite(err)):
             bad = int(np.argmin(np.isfinite(err)))
@@ -511,15 +512,14 @@ def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
         x_up *= phase
         np.matmul(change, x_f, out=out_f)
         x_f, out_f, x_up, out_up = out_f, x_f, out_up, x_up
-    # The group propagators, in the buffer the last step wrote, viewed as
-    # (groups, members, levels, columns) and multiplied pairwise with later
-    # groups on the left.
-    u = (out if steps % 2 else x).transpose(1, 3, 0, 2)
-    while u.shape[0] > 1:
-        even = u.shape[0] & ~1
-        u = np.concatenate((_mul(u[1:even:2], u[0:even:2]), u[even:]))
+    # The last step's buffer viewed as the group propagators (levels, columns,
+    # groups, members), multiplied pairwise with later groups on the left.
+    u = (out if steps % 2 else x).transpose(0, 2, 1, 3)
+    while u.shape[2] > 1:
+        even = u.shape[2] & ~1
+        u = np.concatenate((_mul(u[:, :, 1:even:2], u[:, :, 0:even:2]), u[:, :, even:]), axis=2)
     common = np.exp(-1j * np.dot(widths, lam[:, 0]) * members.t_values)
-    return u[0, :, :, :k] * common[:, None, None]
+    return (u[:, :k, 0] * common).transpose(2, 0, 1)
 
 
 def _propagate(
@@ -758,22 +758,23 @@ def _rk4_increment(path: HamiltonianPath, t: float, s0: float, n: int, h: float)
     """D with I + D the product of n RK4 steps of width h from s0, later steps on the left.
 
     For y' = A(s) y one step is y -> (I + D_n) y.  Neighbouring steps share
-    their end nodes, so A is evaluated once at each s0 + j*h/2, j = 0..2n.
+    their end nodes, so A is evaluated once at each s0 + j*h/2, j = 0..2n,
+    into one (d, d, 2n + 1) stack, matrix axes first for ``_mul``.
     Steps are merged pairwise as (I + B)(I + A) = I + (A + B + B @ A):
     carrying only the increment keeps the rounding of the identity out of the
     product.
     """
-    a = (-1j * t) * path.evaluate(s0 + (0.5 * h) * np.arange(2 * n + 1))
-    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    a = np.moveaxis((-1j * t) * path.evaluate(s0 + (0.5 * h) * np.arange(2 * n + 1)), 0, -1).copy()
+    a0, am, a1 = a[..., :-1:2], a[..., 1::2], a[..., 2::2]
     k2 = am + (0.5 * h) * _mul(am, a0)
     k3 = am + (0.5 * h) * _mul(am, k2)
     k4 = a1 + h * _mul(a1, k3)
     d = (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
-    while d.shape[0] > 1:
-        even = d.shape[0] & ~1
-        earlier, later = d[0:even:2], d[1:even:2]
-        d = np.concatenate((earlier + later + _mul(later, earlier), d[even:]))
-    return d[0]
+    while d.shape[-1] > 1:
+        even = d.shape[-1] & ~1
+        earlier, later = d[..., 0:even:2], d[..., 1:even:2]
+        d = np.concatenate((earlier + later + _mul(later, earlier), d[..., even:]), axis=-1)
+    return d[..., 0]
 
 
 def evolve_fixed_step(

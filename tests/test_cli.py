@@ -323,6 +323,20 @@ def test_an_output_path_that_names_no_file_is_refused_before_any_work(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["sweep", "schedule-dump"])
+def test_an_output_that_cannot_be_opened_is_a_configuration_error(command, tmp_path, capsys):
+    # A dangling symlink into a missing directory passes the path checks, so
+    # the open fails only when the output is written, after the work.
+    out = tmp_path / "dangling.csv"
+    out.symlink_to(tmp_path / "missing" / "x.csv")
+    argv = SMALL_SWEEP + ["--no-cache"] if command == "sweep" else ["schedule-dump"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "No such file or directory" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
 def test_sweep_rejects_cache_dir_that_is_a_file(below, tmp_path, monkeypatch, capsys):
     _forbid_run_sweep(monkeypatch)

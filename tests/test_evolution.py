@@ -495,6 +495,32 @@ def test_local_error_estimate_is_calibrated(spec, t, tol):
     assert 0.8 <= float(np.median(ratios)) <= 1.25
 
 
+@pytest.mark.parametrize(
+    "spec",
+    (ModelSpec("two-level", k=1e-2), ModelSpec("three-level-case1", k=1e-3)),
+    ids=lambda spec: spec.model,
+)
+@pytest.mark.parametrize("t_max", (50.0, 3e4))
+def test_estimate_matches_a_dense_per_pair_reference(spec, t_max):
+    path = build(spec)
+    shift = path.diagonal_mean()
+    mesh = evolution._Mesh(lambda s: path.evaluate(s, shift), t_max, 1e-10)
+    trial = 1.0 / (evolution._TRIAL_RATE * t_max)  # the trial mesh's pair width
+    for start, width in ((0.0, trial), (0.37, trial / 7.0), (1.0 - 2.0 * trial, trial)):
+        edges = start + width * np.arange(3.0)
+        err = mesh._estimate(edges)[0]
+        for pair, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            # each cell from two eigh exponentials multiplied with plain @
+            mid = a + 0.5 * (b - a)
+            full, left, right = (
+                _cf4_reference(path, shift, t_max, lo, hi, substeps=1)
+                for lo, hi in ((a, b), (a, mid), (mid, b))
+            )
+            want = np.linalg.norm(full - right @ left) / 30.0
+            assert want > 1e-14
+            assert abs(err[pair] - want) <= 1e-16
+
+
 def _dense_cells(h, lam, vec, t):
     """Product of the cells (h, lam, vec) at total time t, one exponential at a time.
 
@@ -779,7 +805,21 @@ def test_phases_off_an_even_grid_are_direct_exponentials():
 def test_mul_matches_matmul(shape):
     rng = np.random.default_rng(len(shape) + shape[-1])
     a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
-    want = a @ b
+    want = np.moveaxis(a @ b, (-2, -1), (0, 1))
+    got = evolution._mul(*(np.moveaxis(x, (-2, -1), (0, 1)) for x in (a, b)))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_mul_of_swapped_views_matches_matmul(dim):
+    # as the group tree passes them: (levels, groups, columns, members) buffers
+    # viewed as (levels, columns, groups, members)
+    rng = np.random.default_rng(dim)
+    shape = (dim, 6, dim, 49)
+    a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    a, b = a.swapaxes(1, 2), b.swapaxes(1, 2)
+    want = np.moveaxis(a.transpose(2, 3, 0, 1) @ b.transpose(2, 3, 0, 1), (0, 1), (2, 3))
     got = evolution._mul(a, b)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

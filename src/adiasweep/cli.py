@@ -120,13 +120,21 @@ def _check_paths(out_path: str | None, cache_dir: str | None) -> None:
 
     ``None`` skips that check.
     """
-    # The directory as open() resolves it: "" and "dir/" name no file.
-    if out_path is not None and (
-        not os.path.basename(out_path)
-        or os.path.isdir(out_path)
-        or not os.path.isdir(os.path.dirname(out_path) or os.curdir)
-    ):
-        raise ConfigError(f"cannot write {out_path!r}: not a file in an existing directory")
+    # The file open() would write and its directory: a symlink is resolved,
+    # as open() follows it (a symlinked directory above it is followed by
+    # isdir already); "" and "dir/" name no file.  Nothing is created or
+    # truncated here.
+    if out_path is not None:
+        target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
+        if (
+            not os.path.basename(out_path)
+            or os.path.isdir(target)
+            or not os.path.isdir(os.path.dirname(target) or os.curdir)
+        ):
+            via = "" if target == out_path else f" (it resolves to {target!r})"
+            raise ConfigError(
+                f"cannot write {out_path!r}{via}: not a file in an existing directory"
+            )
     if cache_dir is None:
         return
     existing = os.path.abspath(cache_dir)

@@ -57,8 +57,15 @@ the pair alone, so the contract is per pair: the pairs are equidistributed
 until each pair's summed local error is within ``2 * (atol + rtol)``, i.e.
 its two cells' mean is within ``atol + rtol``.  One batched ``eigh`` of six
 exponents thus checks two propagated cells.  The mesh is built left to
-right and each block of accepted cells is propagated as it comes; a block
-holds at most ``2 * _GROUP_CELLS`` cells, so memory does not grow with t.
+right, a group of at most ``_GROUP_CELLS`` pairs at a time, so the estimate's
+arrays do not grow with t.  Its accepted cells are gathered in order and
+propagated in blocks of the most cells whose phase table, group states and
+real d x d matrices fit in ``_ADVANCE_BYTES`` (``_block_cells``, at least one
+cell): a block is independent of the mesh's groups, so a narrow batch takes
+a few large blocks and a wide one many small ones, and the propagation's
+memory grows neither with t nor with the batch, beyond one cell's worth.
+The cells count as taken, and against ``max_steps``, when the mesh yields
+them, whether or not their block has been propagated yet.
 
 The propagation runs on H(s) - c*I with c the mean diagonal energy; the
 global phase exp(-i*c*t_total*(s_end-s_start)) is restored on the final
@@ -125,10 +132,16 @@ _W1 = 0.25 - _SQRT3_6
 # is estimated.
 _HALF_SHARE = 1.0 / 30.0
 
-# Pairs per equidistribution group.  Every block of cells the mesh yields,
-# and so every block ``_advance`` propagates, holds at most twice as many
-# cells, which bounds the working arrays independently of t.
-_GROUP_CELLS = 128
+# Pairs per equidistribution group.  Every block of cells the mesh yields
+# holds at most twice as many cells, which bounds the estimate's arrays
+# independently of t; 256 pairs make few, large ``eigh`` batches.
+_GROUP_CELLS = 256
+# Bytes of the arrays one ``_advance`` call sizes by its cells and members:
+# the phase table, the group states and the block's real d x d matrices
+# (``_advance_bytes``).  The accepted cells are propagated in blocks of the
+# most cells that fit (``_block_cells``), so the blocks grow for narrow
+# batches and shrink for wide ones.
+_ADVANCE_BYTES = 3 << 19  # 1.5 MiB
 # Fewest evenly spaced members after the head of a batch for which
 # ``_Phases`` builds their phases from a coarse x fine table.
 _MIN_GRID = 16
@@ -421,11 +434,19 @@ class _Phases:
     of n.  The head keeps its own exponential.  ``table`` then lists each
     run's (first member, coarse t, fine t).  Any other batch gets one
     exponential per member, as ``np.exp`` gives it, and ``table`` is None.
+
+    The phases of a call, and the scan buffers ``_advance`` takes with
+    ``buffer``, live in ``buffers``, arrays that consecutive blocks reuse
+    until the caller clears them: arrays taken afresh for each block let the
+    allocator hand their pages back to the system between blocks, and a
+    513-member batch then page-faulted about 400 times per block, which
+    doubled its time.  Each call's phases are valid until the next call.
     """
 
     def __init__(self, t_values: np.ndarray):
         self.t_values = t_values
         self.table = None
+        self.buffers = {}
         grid = t_values[1:]
         cuts = [0, *(np.flatnonzero(np.diff(grid) < 0.0) + 1).tolist(), grid.shape[0]]
         limit = 4.0 * np.spacing(np.max(t_values))
@@ -444,12 +465,22 @@ class _Phases:
             self.size = max(self.size, 1 + lo + coarse * fine)
         self.table = runs
 
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """A complex array of ``shape``, its contents undefined, over the reused array ``name``."""
+        size = math.prod(shape)
+        flat = self.buffers.get(name)
+        if flat is None or flat.shape[0] < size:
+            flat = self.buffers[name] = np.empty(size, dtype=complex)
+        return flat[:size].reshape(shape)
+
     def __call__(self, rates: np.ndarray) -> np.ndarray:
         """Phases of shape rates.shape + (members,)."""
         t = self.t_values
         if self.table is None:
-            return np.exp(-1j * (rates[..., None] * t))
-        out = np.empty(rates.shape + (self.size,), dtype=complex)
+            out = self.buffer("phases", rates.shape + t.shape)
+            np.multiply(rates[..., None], -1j * t, out=out)
+            return np.exp(out, out=out)
+        out = self.buffer("phases", rates.shape + (self.size,))
         out[..., 0] = np.exp(-1j * (rates * t[0]))
         # Runs in order: a table's padding is overwritten by the next run.
         for first, coarse, fine in self.table:
@@ -501,11 +532,11 @@ def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
     # member axis is innermost, so each step's phase multiply runs over
     # contiguous members, and a group's (levels, columns * members) float view
     # takes the basis change as one real product.
-    x = np.empty((dim, groups, dim, n), dtype=complex)
+    x = members.buffer("x", (dim, groups, dim, n))
     x[:, 1:] = np.eye(dim)[:, None, :, None]
     x[:, 0, :k] = (basis[0].T @ y.transpose(1, 2, 0).reshape(dim, k * n)).reshape(dim, k, n)
     x[:, 0, k:] = 0.0
-    out = np.empty_like(x)
+    out = members.buffer("out", x.shape)
     x_f, out_f = (a.view(float).reshape(dim, groups, -1).transpose(1, 0, 2) for a in (x, out))
     x_up, out_up = x[1:], out[1:]
     for phase, change in zip(phases, changes):
@@ -518,8 +549,38 @@ def _advance(y: np.ndarray, h, lam, vec, members: _Phases) -> np.ndarray:
     while u.shape[2] > 1:
         even = u.shape[2] & ~1
         u = np.concatenate((_mul(u[:, :, 1:even:2], u[:, :, 0:even:2]), u[:, :, even:]), axis=2)
-    common = np.exp(-1j * np.dot(widths, lam[:, 0]) * members.t_values)
+    # Summed pairwise: a BLAS dot of the thousands of same-signed terms of a
+    # large block rounded its phase by up to 2e-13, ten times the product's own.
+    common = np.exp(-1j * np.sum(widths * lam[:, 0]) * members.t_values)
     return (u[:, :k, 0] * common).transpose(2, 0, 1)
+
+
+def _advance_bytes(cells: int, members: _Phases, dim: int) -> int:
+    """Bytes of the arrays a block of ``cells`` cells takes, as ``_advance`` sizes them by ``members``.
+
+    Its ``slots`` padded exponentials in G groups hold the phase table
+    (slots, levels - 1, members plus padding), complex, and about eight real
+    d x d matrices per slot: the eigenvectors as the mesh yields them and as
+    ``_propagate`` gathers them, the bases, their changes and the copies
+    their product takes (measured with tracemalloc on single-member blocks).
+    Its two scan buffers are the group states (levels, G, levels, members),
+    complex.
+    """
+    steps = math.isqrt(2 * cells - 1) + 1
+    groups = -(-2 * cells // steps)
+    slots = groups * steps
+    n = members.t_values.shape[0]
+    return 16 * (slots * ((dim - 1) * members.size + 4 * dim * dim) + 2 * dim * groups * dim * n)
+
+
+def _block_cells(members: _Phases, dim: int) -> int:
+    """The most cells, at least one, whose ``_advance_bytes`` fit in ``_ADVANCE_BYTES``."""
+    # Every cell holds at least two slots, so no block beyond ``hi`` fits.
+    lo, hi = 1, _ADVANCE_BYTES // (32 * ((dim - 1) * members.size + 4 * dim * dim)) + 1
+    while hi - lo > 1:  # _advance_bytes(lo) fits, or lo is 1; _advance_bytes(hi) does not
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _advance_bytes(mid, members, dim) <= _ADVANCE_BYTES else (lo, mid)
+    return lo
 
 
 def _propagate(
@@ -542,22 +603,37 @@ def _propagate(
     # t_max = 0 gives an empty mesh and returns psi0 for every member
     mesh = _Mesh(lambda s: path.evaluate(s, shift), float(np.max(t_values)), cfg.atol + cfg.rtol)
     members = _Phases(t_values)
+    block = _block_cells(members, dim)
     s = cfg.s_start
     steps = 0
+    # Accepted cells count as taken when the mesh yields them, and are
+    # propagated once ``block`` of them are held, in blocks of that size.
+    pending, held = [], 0
     try:
         for h, lam, vec in mesh.window(cfg.s_start, hi):
             take = min(h.shape[0], cfg.max_steps - steps)
             if take:
-                y = _advance(y, h[:take], lam[:take], vec[:take], members)
+                pending.append((h[:take], lam[:take], vec[:take]))
+                held += take
                 steps += take
                 s += float(np.sum(h[:take]))
             if take < h.shape[0]:
                 raise EvolutionFailure("step limit exceeded before reaching the end of the window")
+            if held >= block:
+                h, lam, vec = (np.concatenate(part) for part in zip(*pending))
+                cut = held - held % block
+                for first in range(0, cut, block):
+                    end = first + block
+                    y = _advance(y, h[first:end], lam[first:end], vec[first:end], members)
+                pending, held = [(h[cut:], lam[cut:], vec[cut:])], held - cut
+                members.buffers.clear()  # the mesh's estimate reuses their memory
     except EvolutionFailure as exc:
         exc.diagnostics.update(
             s_reached=s, steps_taken=steps, rejected_steps=mesh.estimated - steps
         )
         raise
+    if held:
+        y = _advance(y, *(np.concatenate(part) for part in zip(*pending)), members)
 
     if mirror:
         # the mirrored second half propagates by U^T

@@ -70,7 +70,7 @@ def test_cache_key_of_a_file_plus_flags_is_pinned(tmp_path):
     assert sweep_cfg.model.energies == (1.5, 0.75, 2.0)
     assert sweep_cfg.estimate_orders == (2, 1, 3)
     assert sweep_cfg.workers == 3
-    assert cache_key(sweep_cfg) == "162f8e36fbff646a0e0c79419cf3ef95faaf4859b460135a5efd1ba6b61e6272"
+    assert cache_key(sweep_cfg) == "cd70e06f8ab61928f9a967b4ac93f89691fd87d67a6a5fa16815c4db7ce42c2d"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -324,15 +324,19 @@ def test_an_output_path_that_names_no_file_is_refused_before_any_work(
 
 
 @pytest.mark.parametrize("command", ["sweep", "schedule-dump"])
-def test_an_output_that_cannot_be_opened_is_a_configuration_error(command, tmp_path, capsys):
-    # A dangling symlink into a missing directory passes the path checks, so
-    # the open fails only when the output is written, after the work.
+def test_an_output_that_cannot_be_opened_is_a_configuration_error(
+    command, tmp_path, monkeypatch, capsys
+):
+    # A dangling symlink into a missing directory is resolved as open() would
+    # resolve it, and refused before any work.
+    _forbid_run_sweep(monkeypatch)
     out = tmp_path / "dangling.csv"
     out.symlink_to(tmp_path / "missing" / "x.csv")
     argv = SMALL_SWEEP + ["--no-cache"] if command == "sweep" else ["schedule-dump"]
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "No such file or directory" in err
+    assert err.startswith("configuration error:") and "not a file in an existing directory" in err
+    assert str(tmp_path / "missing" / "x.csv") in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "missing").exists()
 

@@ -47,30 +47,103 @@ def test_constant_diagonal_pure_phase(monkeypatch):
     result = evolve(path, EvolutionConfig(t_total=10.0), psi0)
     assert abs(result.final_state[0] - cmath.exp(-10.0j)) < 1e-9
     assert abs(result.final_state[1]) == 0.0
-    # three levels over many blocks of the propagated half window: a common
-    # phase per block that is dropped, doubled or taken from the wrong level
-    # is off by O(1)
+    # three levels over many blocks of the propagated half window, cut small
+    # by a wide batch of total times: a common phase per block that is
+    # dropped, doubled or taken from the wrong level is off by O(1)
     energies = (0.0, 1.0, 2.5)
     path = HamiltonianPath(3, energies, ())
+    t_values = np.linspace(7000.0, 8000.0, 129)
     blocks = _count_advance_calls(monkeypatch)
     for j, energy in enumerate(energies):
         psi0 = np.eye(3, dtype=complex)[j]
         blocks.clear()
-        result = evolve(path, EvolutionConfig(t_total=8000.0), psi0)
+        result = evolve_many(path, EvolutionConfig(t_total=8000.0), t_values, psi0)
         assert len(blocks) >= 10
-        assert np.max(np.abs(result.final_state - cmath.exp(-8000.0j * energy) * psi0)) < 1e-9
+        want = np.exp(-1j * t_values * energy)[:, None] * psi0
+        assert np.max(np.abs(result.final_states - want)) < 1e-9
 
 
-def test_advance_blocks_are_bounded(monkeypatch):
-    # the mesh yields its accepted cells in blocks of at most two cells per
-    # pair of an equidistribution group, whatever t is
-    path = build(ModelSpec("two-level", k=1e-3))
-    blocks = _count_advance_calls(monkeypatch)
+def test_advance_blocks_fit_the_byte_budget(monkeypatch):
+    # the accepted cells are propagated in blocks whose phase table
+    # (2 * cells, levels - 1, members) and group state (levels, G, levels,
+    # members), complex, fit the budget: blocks of more than 256 cells for a
+    # 49-member window batch, and of at most 256 for 513 members
+    advance = evolution._advance
+    calls = []
+
+    def recording(y, h, *args):
+        calls.append((h.shape[0], y.shape[0], y.shape[1]))
+        return advance(y, h, *args)
+
+    monkeypatch.setattr(evolution, "_advance", recording)
     cfg = EvolutionConfig(t_total=3e3, rtol=1.5e-13, atol=1e-15)
-    result = evolve(path, cfg, ground_state(path, 0.0))
-    assert sum(blocks) == result.steps_taken
-    assert len(blocks) > 1
-    assert max(blocks) <= 2 * evolution._GROUP_CELLS
+    for model, samples in (
+        ("two-level", 0),
+        ("two-level", 48),
+        ("two-level", 512),
+        ("three-level-case1", 48),
+    ):
+        path = build(ModelSpec(model, k=1e-3))
+        t_values = np.array([cfg.t_total])
+        if samples:
+            window = window_samples(cfg.t_total, TypicalErrorConfig(samples=samples))
+            t_values = np.concatenate((t_values, window))
+        calls.clear()
+        result = evolve_many(path, cfg, t_values, ground_state(path, 0.0))
+        blocks = [cells for cells, _, _ in calls]
+        assert sum(blocks) == result.steps_taken
+        assert len(blocks) > 1
+        for cells, n, dim in calls:
+            exps = 2 * cells
+            groups = -(-exps // (math.isqrt(exps - 1) + 1))
+            working_set = 16 * (exps * (dim - 1) * n + dim * groups * dim * n)
+            assert working_set <= evolution._ADVANCE_BYTES
+        if samples == 48:
+            assert min(blocks[:-1]) > 256
+        if samples == 512:
+            assert max(blocks) <= 256
+
+
+def test_step_limit_inside_a_merged_block_counts_every_taken_cell(monkeypatch):
+    # a 49-member batch propagates its first block only once it holds more
+    # cells than the mesh's first group yields; a cap inside that block stops
+    # the run with exactly the capped cells taken, and only the estimated
+    # cells beyond them rejected
+    path = build(ModelSpec("two-level", k=1e-2))
+    psi0 = ground_state(path, 0.0)
+    t_values = np.concatenate(([500.0], window_samples(500.0, TypicalErrorConfig(samples=48))))
+    blocks = []
+    yielded = []  # (cells accepted, cells estimated) as the mesh yields each block
+    advance, window = evolution._advance, evolution._Mesh.window
+
+    def recording_advance(y, h, *args):
+        blocks.append(h)
+        return advance(y, h, *args)
+
+    def recording_window(mesh, lo, hi):
+        accepted = 0
+        for block in window(mesh, lo, hi):
+            accepted += block[0].shape[0]
+            yielded.append((accepted, mesh.estimated))
+            yield block
+
+    monkeypatch.setattr(evolution, "_advance", recording_advance)
+    monkeypatch.setattr(evolution._Mesh, "window", recording_window)
+    cfg = EvolutionConfig(t_total=500.0, rtol=1.5e-12, atol=1e-14)
+    evolve_many(path, cfg, t_values, psi0)
+    cap = 600
+    assert blocks[0].shape[0] > cap > 2 * evolution._GROUP_CELLS
+    widths = np.concatenate(blocks)
+    estimated = next(count for accepted, count in yielded if accepted >= cap)
+    blocks.clear()
+    capped = EvolutionConfig(t_total=500.0, rtol=1.5e-12, atol=1e-14, max_steps=cap)
+    with pytest.raises(EvolutionFailure, match="step limit") as excinfo:
+        evolve_many(path, capped, t_values, psi0)
+    diag = excinfo.value.diagnostics
+    assert not blocks
+    assert diag["steps_taken"] == cap
+    assert diag["rejected_steps"] == estimated - cap
+    assert diag["s_reached"] == pytest.approx(float(np.sum(widths[:cap])), rel=1e-12)
 
 
 def test_ground_state_is_basis_vector_at_endpoints():
@@ -567,19 +640,21 @@ def test_advance_matches_dense_cell_product(dim):
     assert got.shape == (n, dim, 1)
     for i, t in enumerate(t_values):
         assert np.max(np.abs(got[i] - _dense_cells(h, lam, vec, t) @ y[i])) < 1e-13
-    # blocks of 1 to 2 * _GROUP_CELLS cells, cut into groups of ceil(sqrt(2m))
-    # exponentials, the last group padded at 5, 37 and 256 cells; a single
-    # member and a 129-member window batch; blocks of one and of dim columns.
-    # Cells are at most 1/(4t) wide: wider ones, over 512 exponentials, sum to
-    # phases whose rounding alone reaches the bound, however the chain runs.
+    # blocks of 1 cell up to the largest the byte budget allows, cut into
+    # groups of ceil(sqrt(2m)) exponentials, the last group padded at 5 and
+    # 37 cells; a single member and a 129-member window batch; blocks of one
+    # and of dim columns.  Cells are at most 1/(4t) wide, and narrower in
+    # blocks over 256 cells, so that no block's phases sum past 64: larger
+    # sums round, however the chain runs, to the bound.
     batch = np.concatenate(([3e4], window_samples(3e4, TypicalErrorConfig(samples=128))))
-    for cells in (1, 2, 5, 37, 128, 2 * evolution._GROUP_CELLS):
-        for t_values, h_max in ((np.array([700.0]), 0.25 / 700.0), (batch, 0.25 / 3e4)):
-            members = evolution._Phases(t_values)
+    for t_values in (np.array([700.0]), batch):
+        members = evolution._Phases(t_values)
+        n = t_values.shape[0]
+        for cells in (1, 2, 5, 37, 128, evolution._block_cells(members, dim)):
             b = rng.normal(size=(cells, 2, dim, dim))
             lam, vec = np.linalg.eigh(b + b.swapaxes(-1, -2))
+            h_max = min(0.25, 64.0 / cells) / t_values[0]
             h = rng.uniform(0.25 * h_max, h_max, size=cells)
-            n = t_values.shape[0]
             dense = _dense_cells(h, lam, vec, t_values[:, None, None])
             for k in (1, dim):
                 y = rng.normal(size=(n, dim, k)) + 1j * rng.normal(size=(n, dim, k))

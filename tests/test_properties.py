@@ -104,7 +104,9 @@ def test_mirrored_schedule_keeps_error(k, order, symmetric, t):
     t=st.floats(20.0, 80.0),
 )
 def test_energy_time_rescaling_keeps_error(model, k, c, t):
-    # i dpsi/ds = t * H * psi depends on t and H only through t * H
+    # i dpsi/ds = t * H * psi depends on t and H only through t * H.  The two
+    # meshes differ by rounding alone, so their eps differ by the integration
+    # error: at the default tolerances up to 2e-6 relative, at these 5e-9.
     spec = _spec(model, k)
     lo, hi = spec.evolution_window()
     path = build(spec)
@@ -113,6 +115,7 @@ def test_energy_time_rescaling_keeps_error(model, k, c, t):
         tuple(c * d for d in path.diagonal),
         tuple(Coupling(cp.i, cp.j, c * cp.amplitude, cp.schedule) for cp in path.couplings),
     )
-    eps = _eps(path, EvolutionConfig(t_total=t, s_start=lo, s_end=hi))
-    eps_scaled = _eps(scaled, EvolutionConfig(t_total=t / c, s_start=lo, s_end=hi))
+    tol = {"rtol": 1e-13, "atol": 1e-15}
+    eps = _eps(path, EvolutionConfig(t_total=t, s_start=lo, s_end=hi, **tol))
+    eps_scaled = _eps(scaled, EvolutionConfig(t_total=t / c, s_start=lo, s_end=hi, **tol))
     assert math.isclose(eps, eps_scaled, rel_tol=1e-7, abs_tol=1e-10)
